@@ -3,7 +3,9 @@
 This layer reproduces the *schedule* of QuEST's communication -- who
 talks to whom, in how many messages of what size, blocking or
 non-blocking -- without real message passing.  The performance model
-prices that schedule; the numeric executor uses it to move amplitudes.
+prices that schedule; the numeric executors record it (and run their
+collectives through it) while moving amplitudes through their own
+transports.
 """
 
 from repro.mpi.chunking import (

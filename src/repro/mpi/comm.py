@@ -1,12 +1,14 @@
 """An in-process simulated MPI communicator.
 
-:class:`SimComm` gives the distributed executor mpi4py-shaped primitives
-(``Sendrecv``, ``Isend``/``Irecv``/``Waitall``) over per-rank mailboxes,
-with traffic accounting.  All ranks live in one process; a send deposits
-a copy into the destination mailbox and a receive matches on
-``(source, tag)``, so the executor can drive both sides of an exchange
+:class:`SimComm` gives mpi4py-shaped primitives (``Sendrecv``,
+``Isend``/``Irecv``/``Waitall``) over per-rank mailboxes, with traffic
+accounting.  All ranks live in one process; a send deposits a copy into
+the destination mailbox and a receive matches on ``(source, tag)``, so
+one caller can drive both sides of an exchange or a collective
 sequentially while the message log still reflects the real schedule
 (message counts, sizes and ordering) that the performance model prices.
+The distributed statevector runs its scalar collectives through it and
+records its amplitude exchanges with :meth:`SimComm.record_only`.
 """
 
 from __future__ import annotations
@@ -132,10 +134,10 @@ class SimComm:
     def record_only(self, source: int, dest: int, tag: int, nbytes: int) -> None:
         """Account one message without depositing a payload.
 
-        The pool executor moves amplitude data through shared memory, so
-        nothing is queued for a receive -- but the traffic counters and
-        the message log must still reflect the schedule the serial
-        driver would have produced.
+        The numeric executors move amplitude data through their own
+        transports, so nothing is queued for a receive -- but the
+        traffic counters and the message log must still reflect the
+        schedule QuEST would issue.
         """
         self._check_rank("source", source)
         self._check_rank("dest", dest)

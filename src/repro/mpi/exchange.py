@@ -4,8 +4,11 @@ A distributed gate makes every rank exchange (part of) its local
 statevector with exactly one partner.  QuEST implements this as a
 sequence of blocking ``MPI_Sendrecv`` calls over 2 GiB chunks; the
 paper's modified version posts all ``Isend``/``Irecv`` pairs and waits
-once.  Both drivers are implemented here so the numeric executor
-produces the same message schedule the performance model prices.
+once.  :func:`exchange_arrays` drives both protocols over
+:class:`SimComm`, payloads included, and is the reference for the
+schedule; :func:`log_exchange_schedule` records the same schedule with
+no payload, which is how the numeric executors log their exchanges.
+Either way the log matches what the performance model prices.
 
 The DES replay re-times this exact chunk protocol on a contended
 fabric (:mod:`repro.des.rank`), including the failure story the
@@ -149,12 +152,14 @@ def log_exchange_schedule(
 ) -> None:
     """Account the message schedule of an exchange without moving data.
 
-    The pool executor performs exchanges as direct shared-memory copies
-    inside the workers, so no payload ever crosses :class:`SimComm`.
-    This records the *exact* message sequence the serial driver in
-    :func:`exchange_arrays` would have produced -- same chunk sizes, same
-    tags, same per-mode ordering -- keeping ``comm.stats`` and
-    ``comm.message_log`` bit-identical across executors.
+    Every numeric executor moves amplitudes through the step executor's
+    transports (:mod:`repro.parallel.stepper`), never through
+    :class:`SimComm`.  The parent process calls this once per mirror
+    pair of a step's copies, so ``comm.stats`` and ``comm.message_log``
+    record the *exact* message sequence :func:`exchange_arrays` -- the
+    reference driver of QuEST's protocol -- produces for the same
+    ranks, length and ``tag_base``: same chunk sizes, same tags, same
+    per-mode ordering.
 
     ``num_elements`` is the per-side payload length (both sides of a
     QuEST exchange send equally many amplitudes).

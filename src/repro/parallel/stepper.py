@@ -1,28 +1,38 @@
-"""Worker-side SPMD execution of compiled apply plans.
+"""The step executor: SPMD replay of compiled apply plans.
 
-Each pool worker owns a static round-robin subset of the simulated
-ranks (:meth:`~repro.statevector.partition.Partition.ranks_for_worker`)
-and replays the same :class:`~repro.statevector.apply_plan.ApplyPlan`.
-Local steps run with no synchronisation at all; a distributed step's
-data movement is described as a list of
-:class:`~repro.parallel.transport.CopySpec` records derived purely from
-the plan -- identical on every worker -- and handed to the worker's
+Every numeric distributed executor runs here.  ``executor="serial"`` is
+one worker that owns every rank, in the calling process, over the
+loopback transport; the pool executors are ``W`` workers, each owning a
+static round-robin subset of the simulated ranks
+(:meth:`~repro.statevector.partition.Partition.ranks_for_worker`), over
+shared memory or a TCP mesh.  All of them replay the same
+:class:`~repro.statevector.apply_plan.ApplyPlan` through
+:func:`execute_plan`.  Local steps run with no synchronisation at all; a
+distributed step's data movement is the list of
+:class:`~repro.parallel.transport.CopySpec` rounds from
+:func:`copy_rounds` -- derived purely from the plan, identical on every
+worker -- handed to the worker's
 :class:`~repro.parallel.transport.RankTransport`:
 
-* over shared memory the copies run between two barrier fences (the
-  original two-barriers-per-step protocol, unchanged);
+* in-process or over shared memory the copies are direct assignments
+  (between two barrier fences when there are several workers);
 * over the TCP mesh the copies become length-prefixed messages, chunked
   so the ``on_ready`` callbacks below can apply the elementwise update
   to already-received chunks while later chunks are still in flight
   (compute/communication overlap).
 
-Bit-identity with the serial executor is by construction: the update
-phase calls the *same* per-rank kernels on the same operand values in
-the same per-rank order (``repro.statevector.distributed`` exposes its
-step bodies at module level precisely so both executors share them),
-and every chunked update is elementwise, so splitting it over chunk
-boundaries performs the identical floating-point operation per
-amplitude.
+The executors agree bit for bit because they run this one code path:
+the same per-rank kernels on the same operand values in the same
+per-rank order, and every chunked update is elementwise, so splitting
+it over chunk boundaries performs the identical floating-point
+operation per amplitude.  :func:`copy_rounds` is also the parent's only
+enumeration of a step's rank pairs: the message log is derived from
+it, so the log and the copies cannot disagree.
+
+Ranks whose store reports an implicit zero slice are skipped, as are
+exchange pairs made only of such ranks: every step is linear in the
+slice data, so zeros map to zeros.  Only the loopback's lazy
+:class:`~repro.parallel.transport.SliceStore` reports zeros.
 """
 
 from __future__ import annotations
@@ -34,17 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.gates import GateLocality
+from repro.gates import Gate, GateLocality
 from repro.statevector import exact
 from repro.statevector import gate_kernels as kernels
-from repro.statevector.apply_plan import ApplyPlan, ApplyStep, StepKind
-from repro.statevector.distributed import (
-    combine_coefficients,
-    diagonal_step_on_rank,
-    local_controls_of,
-    local_memory_step_on_rank,
-    rank_controls_satisfied,
-    remap_bucket_view,
+from repro.statevector.apply_plan import (
+    ApplyPlan,
+    ApplyStep,
+    StepKind,
+    reduce_diagonal,
 )
 from repro.statevector.partition import Partition
 from repro.parallel.transport import (
@@ -58,7 +65,13 @@ from repro.parallel.transport import (
     ShmTransport,
 )
 
-__all__ = ["PlanTask", "execute_plan", "run_plan_worker", "FAIL_EXIT_CODE"]
+__all__ = [
+    "PlanTask",
+    "copy_rounds",
+    "execute_plan",
+    "run_plan_worker",
+    "FAIL_EXIT_CODE",
+]
 
 #: Exit code of a worker killed by fail-stop injection (distinct from
 #: any Python/interpreter exit so tests can tell the deaths apart).
@@ -102,22 +115,238 @@ class PlanTask:
     blob_name: str | None = None
 
 
+# -- per-rank step bodies ------------------------------------------------------
+
+
+def local_controls_of(gate: Gate, local_qubits: int) -> tuple[int, ...]:
+    """The gate's control qubits that index into the local array."""
+    return tuple(c for c in gate.controls if c < local_qubits)
+
+
+def rank_controls_satisfied(gate: Gate, partition: Partition, rank: int) -> bool:
+    """True when the rank's index bits satisfy all distributed controls."""
+    m = partition.local_qubits
+    return all((rank >> (c - m)) & 1 for c in gate.controls if c >= m)
+
+
+def diagonal_step_on_rank(
+    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
+) -> None:
+    """Fully local (diagonal) step on one rank's slice.
+
+    Distributed controls decide whether the rank participates at all;
+    distributed targets have a constant bit value per rank, so the
+    diagonal is reduced over them once and the remaining local part runs
+    through the strided kernel -- no per-rank index arrays or masks.
+    """
+    m = partition.local_qubits
+    targets, controls, diag = step.targets, step.controls, step.diag
+    dist_controls = tuple(c for c in controls if c >= m)
+    if not all((rank >> (c - m)) & 1 for c in dist_controls):
+        return
+    dist_targets = tuple(t for t in targets if t >= m)
+    if dist_targets:
+        fixed = {t: (rank >> (t - m)) & 1 for t in dist_targets}
+        local_targets, reduced = reduce_diagonal(diag, targets, fixed)
+    else:
+        local_targets, reduced = targets, diag
+    kernels.apply_diagonal(
+        amps, reduced, local_targets, tuple(c for c in controls if c < m)
+    )
+
+
+def local_memory_step_on_rank(
+    amps: np.ndarray, step: ApplyStep, partition: Partition, rank: int
+) -> None:
+    """Local-memory step (all pairing targets local) on one rank's slice."""
+    gate = step.gate
+    if not rank_controls_satisfied(gate, partition, rank):
+        return
+    controls = local_controls_of(gate, partition.local_qubits)
+    if step.kind is StepKind.REMAP:
+        # All transpositions landed local: one gather permutation (or
+        # sequential swaps for short runs -- identical either way).
+        kernels.apply_permutation(amps, gate.swap_pairs())
+    elif step.kind is StepKind.SWAP:
+        kernels.apply_swap_local(amps, step.targets[0], step.targets[1], controls)
+    elif step.kind is StepKind.FUSED:
+        kernels.apply_unitary_batched(amps, step.matrix, step.targets, controls)
+    else:
+        kernels.apply_matrix(amps, step.matrix, step.targets, controls)
+
+
+def remap_bucket_view(
+    amps: np.ndarray, l_bits: tuple[int, ...], value_bits: int
+) -> np.ndarray:
+    """Strided view of the amplitudes in one remap bucket.
+
+    The bucket is the subset of ``amps`` whose local-index bit
+    ``l_bits[j]`` equals bit ``j`` of ``value_bits`` for every ``j``.
+    Both ends of a bucket exchange ravel this view in C order, so
+    equal non-bucket bit patterns land in corresponding slots -- which
+    is exactly the permutation's within-bucket identity.
+    """
+    total = int(amps.shape[0]).bit_length() - 1
+    shape: list[int] = []
+    index: list = []
+    prev = total
+    for b in sorted(l_bits, reverse=True):
+        shape.append(1 << (prev - 1 - b))
+        shape.append(2)
+        index.append(slice(None))
+        index.append((value_bits >> l_bits.index(b)) & 1)
+        prev = b
+    shape.append(1 << prev)
+    return amps.reshape(shape)[tuple(index)]
+
+
+def combine_coefficients(
+    matrix: np.ndarray, rank_bit_value: int
+) -> tuple[complex, complex]:
+    """The (local, remote) coefficients of a distributed single-qubit gate.
+
+    Each rank's new amplitudes are the matrix row selected by its value
+    of the target bit: ``new = row[b] * local + row[1-b] * remote``.
+    """
+    if rank_bit_value == 0:
+        return matrix[0, 0], matrix[0, 1]
+    return matrix[1, 1], matrix[1, 0]
+
+
+# -- the one enumeration of a step's rank pairs --------------------------------
+
+
+def _step_kind(step: ApplyStep, partition: Partition) -> str:
+    """How the executor runs a step (also the dispatch counter's label)."""
+    if step.kind is StepKind.MEASURE:
+        # Measure pre-empts classification: its target's locality is
+        # irrelevant -- the norm reduction always spans every rank.
+        return "measure"
+    locality = partition.classify(step.gate)
+    if locality is GateLocality.FULLY_LOCAL:
+        return "diagonal"
+    if locality is GateLocality.LOCAL_MEMORY:
+        return "local"
+    if step.kind is StepKind.REMAP:
+        return "distributed_remap"
+    if step.kind is StepKind.SWAP:
+        return "distributed_swap"
+    return "distributed_single"
+
+
+def _remap_split(step: ApplyStep, m: int):
+    """A remap's transpositions split into (cross, purely local)."""
+    cross: list[tuple[int, int]] = []
+    local_pairs: list[tuple[int, int]] = []
+    for a, b in step.gate.swap_pairs():
+        (cross if b >= m else local_pairs).append((a, b))
+    return cross, local_pairs
+
+
+def copy_rounds(
+    step: ApplyStep, partition: Partition, halved_swaps: bool
+) -> list[list[CopySpec]]:
+    """Every rank-to-rank copy of one step, round by round.
+
+    Copies come in mirror pairs: when rank ``r`` receives ``L`` amplitudes
+    from ``p``, ``p`` receives ``L`` from ``r``.  Each pair is one
+    pairwise exchange of the modelled machine, which is how the parent
+    logs it.  Local and measure steps have no rounds.  A remap has one
+    round per nonzero pattern ``delta`` of its swapped-in rank bits
+    (``2**g - 1``): rank ``r`` trades bucket ``own(r) ^ delta`` with
+    rank ``r ^ mask(delta)``.  Every other distributed step has a
+    single round.
+    """
+    kind = _step_kind(step, partition)
+    gate = step.gate
+    m = partition.local_qubits
+    n = partition.local_amplitudes
+    ranks = range(partition.num_ranks)
+    if kind == "distributed_single":
+        bit = 1 << partition.rank_bit(gate.pairing_targets()[0])
+        return [
+            [
+                CopySpec(r, PAIR, 0, n, r ^ bit, LOCAL, 0, n)
+                for r in ranks
+                if rank_controls_satisfied(gate, partition, r)
+            ]
+        ]
+    if kind == "distributed_swap":
+        t_low, t_high = sorted(gate.targets)
+        if t_low >= m:
+            # Both bits are rank bits: ranks whose two bit values differ
+            # trade entire slices with rank XOR mask.
+            bit_a, bit_b = t_low - m, t_high - m
+            mask = (1 << bit_a) | (1 << bit_b)
+            return [
+                [
+                    CopySpec(r, PAIR, 0, n, r ^ mask, LOCAL, 0, n)
+                    for r in ranks
+                    if ((r >> bit_a) & 1) != ((r >> bit_b) & 1)
+                ]
+            ]
+        bit = 1 << (t_high - m)
+        if halved_swaps:
+            # The partner's packed half (front of its pair buffer) lands
+            # in the back of the own pair buffer.
+            half = n // 2
+            return [
+                [CopySpec(r, PAIR, half, n, r ^ bit, PAIR, 0, half) for r in ranks]
+            ]
+        return [[CopySpec(r, PAIR, 0, n, r ^ bit, LOCAL, 0, n) for r in ranks]]
+    if kind == "distributed_remap":
+        cross, _local_pairs = _remap_split(step, m)
+        bucket = n >> len(cross)
+        rounds = []
+        for delta in range(1, 1 << len(cross)):
+            mask = 0
+            for j, (_a, b) in enumerate(cross):
+                if (delta >> j) & 1:
+                    mask |= 1 << (b - m)
+            rounds.append(
+                [
+                    CopySpec(r, PAIR, bucket, 2 * bucket, r ^ mask, PAIR, 0, bucket)
+                    for r in ranks
+                ]
+            )
+        return rounds
+    return []
+
+
+def _live(
+    store: RankStore, rounds: list[list[CopySpec]], owned: tuple[int, ...]
+) -> tuple[list[list[CopySpec]], tuple[int, ...]]:
+    """Drop the copies and owned ranks that only ever see implicit zeros.
+
+    A rank is live when it, or a partner in any round, holds data.
+    Partners in one step are closed under pairing, so the surviving
+    copies still come in mirror pairs.  Every round is kept, even an
+    empty one, because a message transport counts exchanges in lockstep.
+    """
+    live = {
+        c.dst_rank
+        for copies in rounds
+        for c in copies
+        if not (store.is_zero(c.dst_rank) and store.is_zero(c.src_rank))
+    }
+    kept = [[c for c in copies if c.dst_rank in live] for copies in rounds]
+    return kept, tuple(r for r in owned if r in live)
+
+
+# -- step execution --------------------------------------------------------------
+
+
 def _exec_local(
     step: ApplyStep,
-    locality: GateLocality,
+    kind: str,
     partition: Partition,
     store: RankStore,
-    owned: tuple[int, ...],
+    ranks: tuple[int, ...],
 ) -> None:
-    """Local step: each owned rank sweeps independently, no exchanges."""
-    if locality is GateLocality.FULLY_LOCAL:
-        for rank in owned:
-            diagonal_step_on_rank(store.view(rank, LOCAL), step, partition, rank)
-    else:
-        for rank in owned:
-            local_memory_step_on_rank(
-                store.view(rank, LOCAL), step, partition, rank
-            )
+    """Local step: each rank sweeps independently, no exchanges."""
+    body = diagonal_step_on_rank if kind == "diagonal" else local_memory_step_on_rank
+    for rank in ranks:
+        body(store.view(rank, LOCAL), step, partition, rank)
 
 
 def _exec_distributed_single(
@@ -126,7 +355,8 @@ def _exec_distributed_single(
     partition: Partition,
     store: RankStore,
     transport: RankTransport,
-    owned: tuple[int, ...],
+    ranks: tuple[int, ...],
+    copies: list[CopySpec],
 ) -> None:
     """Single-target non-diagonal gate on a rank-index bit.
 
@@ -138,17 +368,9 @@ def _exec_distributed_single(
     rank_bit = partition.rank_bit(gate.pairing_targets()[0])
     matrix = step.matrix if step.matrix is not None else gate.matrix()
     local_controls = local_controls_of(gate, partition.local_qubits)
-    n = partition.local_amplitudes
-    copies = [
-        CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
-        for r in range(partition.num_ranks)
-        if rank_controls_satisfied(gate, partition, r)
-    ]
     if local_controls:
         transport.exchange(step_index, copies)
-        for rank in owned:
-            if not rank_controls_satisfied(gate, partition, rank):
-                continue
+        for rank in ranks:
             coeff = combine_coefficients(matrix, (rank >> rank_bit) & 1)
             kernels.combine_distributed_single(
                 store.view(rank, LOCAL),
@@ -178,26 +400,17 @@ def _exec_distributed_swap(
     partition: Partition,
     store: RankStore,
     transport: RankTransport,
-    owned: tuple[int, ...],
+    ranks: tuple[int, ...],
+    copies: list[CopySpec],
     halved_swaps: bool,
 ) -> None:
     """SWAP with one or both targets in the rank-index bits."""
-    gate = step.gate
     m = partition.local_qubits
     n = partition.local_amplitudes
-    t_low, t_high = sorted(gate.targets)
+    t_low, t_high = sorted(step.gate.targets)
     if t_low >= m:
-        # Both bits are rank bits: ranks whose two bit values differ
-        # trade entire slices with rank XOR mask.  The copy-back is a
-        # pure overwrite, so it rides the chunk callbacks.
-        bit_a, bit_b = t_low - m, t_high - m
-        mask = (1 << bit_a) | (1 << bit_b)
-        copies = [
-            CopySpec(r, PAIR, 0, n, r ^ mask, LOCAL, 0, n)
-            for r in range(partition.num_ranks)
-            if ((r >> bit_a) & 1) != ((r >> bit_b) & 1)
-        ]
-
+        # Both bits are rank bits: the copy-back is a pure overwrite, so
+        # it rides the chunk callbacks.
         def on_ready(c: CopySpec, lo: int, hi: int) -> None:
             store.view(c.dst_rank, LOCAL)[lo:hi] = store.view(
                 c.dst_rank, PAIR
@@ -215,18 +428,14 @@ def _exec_distributed_swap(
         # The packed stream is row-major over the target half, so the
         # unpack applies per *complete row* as chunks arrive.
         width = 1 << local_bit
-        for rank in owned:
+        for rank in ranks:
             b = (rank >> rank_bit) & 1
             view = store.view(rank, LOCAL).reshape(-1, 2, width)
             half_shape = view[:, 0, :].shape
             store.view(rank, PAIR)[:half].reshape(half_shape)[...] = view[
                 :, 1 - b, :
             ]
-        copies = [
-            CopySpec(r, PAIR, half, n, r ^ (1 << rank_bit), PAIR, 0, half)
-            for r in range(partition.num_ranks)
-        ]
-        rows_done = dict.fromkeys(owned, 0)
+        rows_done = dict.fromkeys(ranks, 0)
 
         def on_ready(c: CopySpec, lo: int, hi: int) -> None:
             rank = c.dst_rank
@@ -243,12 +452,8 @@ def _exec_distributed_swap(
 
         transport.exchange(step_index, copies, on_ready)
     else:
-        copies = [
-            CopySpec(r, PAIR, 0, n, r ^ (1 << rank_bit), LOCAL, 0, n)
-            for r in range(partition.num_ranks)
-        ]
         transport.exchange(step_index, copies)
-        for rank in owned:
+        for rank in ranks:
             kernels.swap_in_halves(
                 store.view(rank, LOCAL),
                 store.view(rank, PAIR),
@@ -263,7 +468,7 @@ def _exec_measure(
     partition: Partition,
     store: RankStore,
     transport: RankTransport,
-    owned: tuple[int, ...],
+    ranks: tuple[int, ...],
     *,
     seed: int,
     ordinal: int,
@@ -275,8 +480,8 @@ def _exec_measure(
     Each worker sums the exact integer partial norms of its owned
     ranks, allgathers the per-worker ``(n0, ntotal)`` pairs through the
     transport's scalar collective, and re-sums -- integer addition is
-    associative, so every worker (and the serial executor) derives the
-    identical global pair and hence the identical outcome.  Worker 0
+    associative, so every worker derives the identical global pair (for
+    any worker count) and hence the identical outcome.  Worker 0
     reports the outcome upstream unconditionally (the parent's
     bookkeeping needs it even with no observer attached).
     """
@@ -284,7 +489,7 @@ def _exec_measure(
     m = partition.local_qubits
     n0 = 0
     ntotal = 0
-    for rank in owned:
+    for rank in ranks:
         p0, pt = exact.partial_norms(store.view(rank, LOCAL), qubit, rank, m)
         n0 += p0
         ntotal += pt
@@ -298,20 +503,12 @@ def _exec_measure(
     outcome = exact.measure_outcome(seed, ordinal, n0, ntotal)
     n_sel = n0 if outcome == 0 else ntotal - n0
     scale = exact.collapse_scale(n_sel, ntotal)
-    for rank in owned:
+    for rank in ranks:
         exact.collapse_slice(
             store.view(rank, LOCAL), qubit, outcome, scale, rank, m
         )
     if worker_id == 0 and emit is not None:
         emit(("measure", ordinal, qubit, outcome))
-
-
-def _remap_split(step: ApplyStep, m: int):
-    cross: list[tuple[int, int]] = []
-    local_pairs: list[tuple[int, int]] = []
-    for a, b in step.gate.swap_pairs():
-        (cross if b >= m else local_pairs).append((a, b))
-    return cross, local_pairs
 
 
 def _exec_remap(
@@ -320,14 +517,16 @@ def _exec_remap(
     partition: Partition,
     store: RankStore,
     transport: RankTransport,
-    owned: tuple[int, ...],
+    ranks: tuple[int, ...],
+    rounds: list[list[CopySpec]],
 ) -> None:
     """Remap with cross transpositions.
 
-    Over shared memory every rank gathers all its new buckets directly
-    (one strided gather between two fences -- the pre-seam protocol);
-    over a message transport the buckets route through the serial
-    executor's ``2**g - 1`` pairwise rounds, packed contiguous on the
+    When the transport allows direct reads of any rank's buffers
+    (in-process or shared memory), every rank gathers all its new
+    buckets directly: one strided gather between two fences.  Over a
+    message transport the buckets route through the ``2**g - 1``
+    pairwise rounds of :func:`copy_rounds`, packed contiguous on the
     wire.  Same permutation, same amplitude values (pure copies).
     """
     m = partition.local_qubits
@@ -347,7 +546,7 @@ def _exec_remap(
         for gb in g_bits:
             full_mask |= 1 << gb
         transport.fence()
-        for rank in owned:
+        for rank in ranks:
             own = own_pattern(rank)
             for v in range(1 << g):
                 src_rank = rank & ~full_mask
@@ -355,10 +554,10 @@ def _exec_remap(
                     src_rank |= ((v >> j) & 1) << gb
                 dest = remap_bucket_view(store.view(rank, PAIR), l_bits, v)
                 dest[...] = remap_bucket_view(
-                    store.view(src_rank, LOCAL), l_bits, own
+                    store.read(src_rank, LOCAL), l_bits, own
                 )
         transport.fence()
-        for rank in owned:
+        for rank in ranks:
             store.view(rank, LOCAL)[:] = store.view(rank, PAIR)
             # Purely local transpositions are disjoint from the cross
             # pairs, so applying them after the routing is the same
@@ -369,29 +568,19 @@ def _exec_remap(
 
     # Message transport: local transpositions first (they commute with
     # the routing), then one packed bucket exchange per round.
-    for rank in owned:
+    for rank in ranks:
         amps = store.view(rank, LOCAL)
         for a, b in local_pairs:
             kernels.apply_swap_local(amps, a, b, ())
-    if not cross:
-        return
     bucket = partition.local_amplitudes >> g
-    for delta in range(1, 1 << g):
-        mask = 0
-        for j, gb in enumerate(g_bits):
-            if (delta >> j) & 1:
-                mask |= 1 << gb
-        for rank in owned:
+    for delta, copies in enumerate(rounds, start=1):
+        for rank in ranks:
             view = remap_bucket_view(
                 store.view(rank, LOCAL), l_bits, own_pattern(rank) ^ delta
             )
             store.view(rank, PAIR)[:bucket].reshape(view.shape)[...] = view
-        copies = [
-            CopySpec(r, PAIR, bucket, 2 * bucket, r ^ mask, PAIR, 0, bucket)
-            for r in range(partition.num_ranks)
-        ]
         transport.exchange(step_index, copies)
-        for rank in owned:
+        for rank in ranks:
             view = remap_bucket_view(
                 store.view(rank, LOCAL), l_bits, own_pattern(rank) ^ delta
             )
@@ -451,34 +640,20 @@ def execute_plan(
                 # SIGKILL/OOM would -- no cleanup, peers see a vanished
                 # endpoint mid-exchange.
                 os._exit(FAIL_EXIT_CODE)
-            locality = None
-            if step.kind is StepKind.MEASURE:
-                # Measure pre-empts classification: its target's
-                # locality is irrelevant -- the norm reduction always
-                # spans every rank.
-                kind = "measure"
-            elif (
-                locality := partition.classify(step.gate)
-            ) in (
-                GateLocality.FULLY_LOCAL,
-                GateLocality.LOCAL_MEMORY,
-            ):
-                kind = (
-                    "diagonal"
-                    if locality is GateLocality.FULLY_LOCAL
-                    else "local"
-                )
-            elif step.kind is StepKind.REMAP:
-                kind = "distributed_remap"
-            elif step.kind is StepKind.SWAP:
-                kind = "distributed_swap"
-            else:
-                kind = "distributed_single"
+            kind = _step_kind(step, partition)
             if tracing:
                 obs.counter(
                     "repro_kernel_dispatch_total", kind=kind
                 ).inc(len(owned))
             with obs.span("worker.step", step=idx, kind=kind):
+                if kind in ("measure", "diagonal", "local"):
+                    ranks = tuple(r for r in owned if not store.is_zero(r))
+                else:
+                    rounds, ranks = _live(
+                        store,
+                        copy_rounds(step, partition, task.halved_swaps),
+                        owned,
+                    )
                 if kind == "measure":
                     _exec_measure(
                         idx,
@@ -486,17 +661,17 @@ def execute_plan(
                         partition,
                         store,
                         transport,
-                        owned,
+                        ranks,
                         seed=task.measure_seed,
                         ordinal=measure_ordinals[idx],
                         worker_id=worker_id,
                         emit=emit,
                     )
                 elif kind in ("diagonal", "local"):
-                    _exec_local(step, locality, partition, store, owned)
+                    _exec_local(step, kind, partition, store, ranks)
                 elif kind == "distributed_remap":
                     _exec_remap(
-                        idx, step, partition, store, transport, owned
+                        idx, step, partition, store, transport, ranks, rounds
                     )
                 elif kind == "distributed_swap":
                     _exec_distributed_swap(
@@ -505,12 +680,13 @@ def execute_plan(
                         partition,
                         store,
                         transport,
-                        owned,
+                        ranks,
+                        rounds[0],
                         task.halved_swaps,
                     )
                 else:
                     _exec_distributed_single(
-                        idx, step, partition, store, transport, owned
+                        idx, step, partition, store, transport, ranks, rounds[0]
                     )
             executed += 1
             if task.emit_events and emit is not None:

@@ -1,28 +1,32 @@
 """The rank-transport seam: how distributed steps move data between ranks.
 
-The SPMD stepper (:mod:`repro.parallel.stepper`) describes every
-distributed step's data movement as a list of :class:`CopySpec` records
+The step executor (:mod:`repro.parallel.stepper`) describes every
+distributed step's data movement as rounds of :class:`CopySpec` records
 -- "rank ``r``'s buffer region receives rank ``p``'s buffer region" --
 derived purely from the compiled plan, so every worker enumerates the
 *same* list in the same order.  A :class:`RankTransport` then realises
-those copies on a concrete medium:
+those copies on a concrete medium.  Every executor runs through one of
+three configurations:
 
-* :class:`ShmTransport` -- the original shared-memory path.  All ranks'
-  slices live in one segment, so a copy is a direct ``ndarray``
-  assignment guarded by the pool barrier: fence (sources ready), copy,
-  fence (sources may be overwritten).  Bit-identical to the pre-seam
-  stepper by construction -- the same assignments run between the same
-  two barriers.
-* ``TcpMeshTransport`` (:mod:`repro.parallel.tcp`) -- workers own their
-  rank slices privately and move regions over a length-prefixed TCP
-  mesh.  Fences are free (message arrival *is* the synchronisation) and
-  copies are chunked, which is what enables compute/communication
-  overlap: the stepper's ``on_ready`` callback applies the elementwise
-  update to each chunk as it lands while later chunks are still in
-  flight.
+* **loopback** (``executor="serial"``) -- :class:`ShmTransport` with no
+  barrier, driven in the calling process by a single worker that owns
+  every rank.  Copies are direct ``ndarray`` assignments between the
+  slices of a :class:`SliceStore`, whose never-written ranks stay
+  implicit zeros.
+* **shared memory** (``executor="pool"``) -- :class:`ShmTransport` over
+  one segment holding all ranks' slices.  A copy is a direct assignment
+  guarded by the pool barrier: fence (sources ready), copy, fence
+  (sources may be overwritten).
+* **TCP** (``executor="pool"`` with a host list) -- ``TcpMeshTransport``
+  (:mod:`repro.parallel.tcp`): workers own their rank slices privately
+  and move regions over a length-prefixed TCP mesh.  Fences are free
+  (message arrival *is* the synchronisation) and copies are chunked,
+  which is what enables compute/communication overlap: the stepper's
+  ``on_ready`` callback applies the elementwise update to each chunk as
+  it lands while later chunks are still in flight.
 
 The two buffer kinds mirror QuEST's layout: ``"local"`` is the rank's
-amplitude slice, ``"pair"`` its reusable exchange buffer (PR 2's
+amplitude slice, ``"pair"`` its reusable exchange buffer (QuEST's
 ``pairStateVec``).  A :class:`RankStore` resolves ``(rank, kind)`` to
 the backing array so step bodies are medium-agnostic.
 """
@@ -46,6 +50,7 @@ __all__ = [
     "RankStore",
     "Array2DStore",
     "DictStore",
+    "SliceStore",
     "RankTransport",
     "ShmTransport",
 ]
@@ -100,8 +105,16 @@ class RankStore:
     """Resolves ``(rank, kind)`` to the backing 1-D complex array."""
 
     def view(self, rank: int, kind: str) -> np.ndarray:
-        """The full backing array of one rank's buffer."""
+        """The full backing array of one rank's buffer (write access)."""
         raise NotImplementedError
+
+    def read(self, rank: int, kind: str) -> np.ndarray:
+        """The rank's buffer for reading only (copy sources)."""
+        return self.view(rank, kind)
+
+    def is_zero(self, rank: int) -> bool:
+        """True when the rank's slice is an implicit (never written) zero."""
+        return False
 
 
 class Array2DStore(RankStore):
@@ -138,6 +151,39 @@ class DictStore(RankStore):
             raise PoolError(
                 f"rank {rank} {kind} buffer is not owned by this worker"
             ) from None
+
+
+class SliceStore(RankStore):
+    """Lazy per-rank slices in this process (the serial loopback).
+
+    ``local`` is a :class:`~repro.statevector.slices.RankSlices`:
+    ``view`` materialises a slice on its first write, ``read`` returns
+    the shared read-only zero vector for a slice never written, and
+    ``is_zero`` lets the stepper skip ranks and exchange pairs that hold
+    nothing but implicit zeros.  Pair buffers are allocated per rank on
+    first use and kept for later plans.
+    """
+
+    def __init__(self, local):
+        self._local = local
+        self._pair: list[np.ndarray | None] = [None] * len(local)
+
+    def view(self, rank: int, kind: str) -> np.ndarray:
+        if kind == LOCAL:
+            return self._local[rank]
+        pair = self._pair[rank]
+        if pair is None:
+            pair = np.empty(self._local.slice_len, dtype=np.complex128)
+            self._pair[rank] = pair
+        return pair
+
+    def read(self, rank: int, kind: str) -> np.ndarray:
+        if kind == LOCAL:
+            return self._local.read(rank)
+        return self.view(rank, kind)
+
+    def is_zero(self, rank: int) -> bool:
+        return not self._local.is_materialized(rank)
 
 
 def _timed_wait(barrier) -> None:
@@ -202,15 +248,17 @@ class RankTransport:
 
 
 class ShmTransport(RankTransport):
-    """Direct shared-memory copies fenced by the pool barrier.
+    """Direct in-memory copies fenced by the pool barrier.
 
-    This is the pre-seam stepper's exact protocol: fence (every rank's
-    source data for this step is ready), perform the owned copies as
-    in-place assignments, fence (every copy is done; sources may now be
-    overwritten).  Two barriers per distributed step, zero per local
-    step -- and every worker executes the same fence sequence derived
-    solely from the plan, so workers that own no ranks still participate
-    in lockstep.
+    Fence (every rank's source data for this step is ready), perform
+    the owned copies as in-place assignments, fence (every copy is
+    done; sources may now be overwritten).  Two barriers per
+    distributed step, zero per local step -- and every worker executes
+    the same fence sequence derived solely from the plan, so workers
+    that own no ranks still participate in lockstep.
+
+    ``barrier=None`` is the loopback: one worker owns every rank, so
+    there is nobody to wait for and the fences are no-ops.
     """
 
     direct_gather = True
@@ -231,7 +279,8 @@ class ShmTransport(RankTransport):
         self._blobs = blobs
 
     def fence(self) -> None:
-        _timed_wait(self.barrier)
+        if self.barrier is not None:
+            _timed_wait(self.barrier)
 
     def allgather_blob(self, tag: int, payload: bytes) -> list[bytes]:
         """Shared-segment allgather: write own row, fence, read all rows.
@@ -272,7 +321,7 @@ class ShmTransport(RankTransport):
         mine = [c for c in copies if c.dst_rank in self._owned]
         for c in mine:
             dst = self.store.view(c.dst_rank, c.dst_kind)
-            src = self.store.view(c.src_rank, c.src_kind)
+            src = self.store.read(c.src_rank, c.src_kind)
             dst[c.dst_lo : c.dst_hi] = src[c.src_lo : c.src_hi]
         self.fence()
         if on_ready is not None:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import CommError, ValidationError
-from repro.mpi import CommMode, SimComm, exchange_arrays
+from repro.mpi import (
+    MAX_MESSAGE_BYTES,
+    CommMode,
+    SimComm,
+    exchange_arrays,
+    log_exchange_schedule,
+)
 
 
 @pytest.mark.parametrize("mode", [CommMode.BLOCKING, CommMode.NONBLOCKING])
@@ -95,3 +101,34 @@ class TestScheduleDifferences:
         order = [(m.source, m.tag) for m in comm.message_log]
         # All of rank 0's chunks posted before rank 1's.
         assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("mode", [CommMode.BLOCKING, CommMode.NONBLOCKING])
+@pytest.mark.parametrize(
+    "max_message", [MAX_MESSAGE_BYTES, 48], ids=["unchunked", "chunked"]
+)
+@pytest.mark.parametrize("length", [16, 8], ids=["full", "halved"])
+def test_log_exchange_schedule_matches_exchange_arrays(mode, max_message, length):
+    # The executors log exchanges without moving data through SimComm;
+    # the logged schedule must be exactly the one the reference driver
+    # produces.  48 B is three amplitudes, so chunked payloads end in a
+    # short chunk.
+    tag_base = 5 << 8
+    driven = SimComm(4)
+    a = np.arange(length, dtype=np.complex128)
+    exchange_arrays(
+        driven, 1, a, 3, -a, mode=mode, max_message=max_message, tag_base=tag_base
+    )
+    logged = SimComm(4)
+    log_exchange_schedule(
+        logged,
+        1,
+        3,
+        length,
+        itemsize=a.itemsize,
+        mode=mode,
+        max_message=max_message,
+        tag_base=tag_base,
+    )
+    assert logged.message_log == driven.message_log
+    assert logged.stats == driven.stats

@@ -12,9 +12,10 @@ from repro.circuits import (
     random_state,
     swap_benchmark,
 )
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.gates import Gate
 from repro.mpi import MAX_MESSAGE_BYTES, CommMode
+from repro.parallel import shm_available
 from repro.statevector import DenseStatevector, DistributedStatevector, Partition
 
 
@@ -187,6 +188,55 @@ class TestErrors:
         d = DistributedStatevector.zero_state(5, 4)
         with pytest.raises(SimulationError):
             d.apply_gate(Gate.unitary(mats.swap_matrix() @ np.diag([1, 1, 1, 1j]), (0, 4)))
+
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            "serial",
+            pytest.param(
+                "pool",
+                marks=pytest.mark.skipif(
+                    not shm_available(), reason="named shared memory unavailable"
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "last_gate, kwargs, error, message",
+        [
+            (
+                Gate.named("swap", (0, 4), controls=(1,)),
+                {},
+                SimulationError,
+                "controlled distributed SWAP is not supported (QuEST "
+                "decomposes it); remove controls or keep targets local",
+            ),
+            (
+                None,
+                {"max_message": 8},
+                ValidationError,
+                "max_message 8 is smaller than one amplitude (16 B); the "
+                "exchange cannot make progress",
+            ),
+        ],
+        ids=["controlled-distributed-swap", "max-message-below-amplitude"],
+    )
+    def test_invalid_step_changes_nothing(
+        self, executor, last_gate, kwargs, error, message
+    ):
+        # Valid gates come first: validation must still run before any
+        # of them touches the state or the message log.
+        circuit = Circuit(5).h(0).h(4)
+        if last_gate is not None:
+            circuit.append(last_gate)
+        d = DistributedStatevector.zero_state(5, 4, executor=executor, **kwargs)
+        before = d.gather()
+        log_before = list(d.comm.message_log)
+        with pytest.raises(error) as raised:
+            d.apply_circuit(circuit)
+        assert str(raised.value) == message
+        assert np.array_equal(d.gather(), before)
+        assert d.comm.message_log == log_before
 
 
 class TestObserver:

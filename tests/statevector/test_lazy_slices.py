@@ -96,6 +96,17 @@ class TestZeroStateLaziness:
         state.apply_gate(Gate.named("h", (0,)))
         state.apply_gate(Gate.named("z", (1,)))
         assert state._local.allocations == 1
+        for gates in (
+            # Collapsing a distributed qubit rewrites only live slices.
+            (Gate.measure(9),),
+            # Rank bits 0 and 1 swap: the exchanging pairs (1, 2) and
+            # (5, 6) hold only implicit zeros, and rank 0 sits out.
+            (Gate.named("swap", (7, 8)),),
+        ):
+            state = _zero_state(10, 8)
+            for gate in gates:
+                state.apply_gate(gate)
+            assert state._local.allocations == 1, gates
 
     def test_distributed_gate_materialises_the_pair(self):
         state = _zero_state(10, 8)
