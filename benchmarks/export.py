@@ -63,6 +63,14 @@ in the state size (the two-level cumulative descent scales ~log with
 amplitudes; a regression to a linear per-shot scan blows the measured
 small-to-large ratio past the 8x acceptance ceiling).
 
+``--suite des`` times the DES on Table 2's three replays (41 qubits on
+512 nodes; a 34-qubit, 32-node twin under ``--quick``) with each
+exchange booked as one chunk train and forced onto the per-chunk
+reference path, writing ``BENCH_des.json``: host seconds, events per
+second, the reference/train ratio and the exact event, booking and
+network-byte counts of both paths.  The ``--check-against`` gate
+demands the counts exactly and a ratio of at least 2.5x.
+
 Baselines for the wall-clock suites (``parallel``, ``scaleout``) are
 only honest on parallel hardware: a baseline-producing run (one without
 ``--check-against``) refuses to write on a host with fewer than two
@@ -975,6 +983,195 @@ def check_tune_against(current: dict, baseline_path: str) -> list[str]:
     return failures
 
 
+#: The DES suite's ratio floor: train booking vs the per-chunk reference.
+_DES_RATIO_FLOOR = 2.5
+
+#: DES workloads: label -> (qubits, nodes, message cap).  Table 2 at 41
+#: qubits on 512 nodes moves 64 GiB per exchange as 32 chunks of 2 GiB;
+#: the CI-sized 34-qubit, 32-node twin caps messages at 256 MiB so its
+#: 8 GiB exchanges keep the same 32-chunk trains.
+_DES_WORKLOADS = {
+    "34q-32n": (34, 32, 256 << 20),
+    "41q-512n": (41, 512, 2 << 30),
+}
+_DES_QUICK = ("34q-32n",)
+
+
+def _des_variants(num_qubits: int, num_nodes: int, max_message: int):
+    from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
+    from repro.machine.frequency import CpuFrequency
+    from repro.machine.node import STANDARD_NODE
+    from repro.mpi.datatypes import CommMode
+    from repro.perfmodel.trace import RunConfiguration, trace_circuit
+    from repro.statevector.partition import Partition
+
+    local = num_qubits - (num_nodes.bit_length() - 1)
+    builtin = builtin_qft_circuit(num_qubits)
+    fast = cache_blocked_qft_circuit(num_qubits, local)
+    for name, circuit, mode in (
+        ("builtin-blocking", builtin, CommMode.BLOCKING),
+        ("builtin-nonblocking", builtin, CommMode.NONBLOCKING),
+        ("fast-nonblocking", fast, CommMode.NONBLOCKING),
+    ):
+        config = RunConfiguration(
+            partition=Partition(num_qubits, num_nodes),
+            node_type=STANDARD_NODE,
+            frequency=CpuFrequency.MEDIUM,
+            comm_mode=mode,
+            max_message=max_message,
+        )
+        yield name, trace_circuit(circuit, config)
+
+
+def _des_replay(trace, *, reference: bool, count: bool = False):
+    """One replay on the train path or forced onto the per-chunk path.
+
+    With ``count``, also tallies ``Fabric.transfer`` and ``Link.commit``
+    calls (wrapping them costs time, so counted replays are not timed).
+    Per-link busy intervals are off, as they are by default for every
+    Table 2 replay (over 256 ranks): the suite times the event loop and
+    the bookings, not the utilisation post-processing.
+    """
+    import repro.des.rank as des_rank
+    from repro.des.replay import simulate_trace
+    from repro.des.resources import Fabric, Link
+
+    books = des_rank._books_trains
+    calls = {"transfers": 0, "link_commits": 0}
+    transfer, commit = Fabric.transfer, Link.commit
+
+    def counted(method, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    if reference:
+        des_rank._books_trains = lambda ctx: False
+    if count:
+        Fabric.transfer = counted(transfer, "transfers")
+        Link.commit = counted(commit, "link_commits")
+    try:
+        t0 = time.perf_counter()
+        result = simulate_trace(trace, record_intervals=False)
+        seconds = time.perf_counter() - t0
+    finally:
+        des_rank._books_trains = books
+        Fabric.transfer, Link.commit = transfer, commit
+    return result, seconds, calls
+
+
+def run_des(quick: bool) -> dict:
+    """DES replay cost: chunk-train booking vs the per-chunk reference.
+
+    Replays Table 2's three variants (built-in QFT blocking and
+    non-blocking, cache-blocked QFT non-blocking) on the train path and
+    forced onto the per-chunk reference path, interleaved, and records
+    host seconds (median of the repeats), events per host second, the
+    reference/train ratio, and the exact counts of each path: events,
+    ``Fabric.transfer`` and ``Link.commit`` bookings, network bytes and
+    the makespan.  The counts are deterministic and machine-independent;
+    the ratio is measured in one run on one host, so it travels too.
+    """
+    import os
+
+    repeats = 5
+    labels = _DES_QUICK if quick else tuple(_DES_WORKLOADS)
+    workloads: dict[str, dict] = {}
+    for label in labels:
+        num_qubits, num_nodes, max_message = _DES_WORKLOADS[label]
+        variants: dict[str, dict] = {}
+        for name, trace in _des_variants(num_qubits, num_nodes, max_message):
+            entry: dict[str, dict] = {}
+            times: dict[str, list[float]] = {"train": [], "reference": []}
+            for _ in range(repeats):
+                for path in times:
+                    _, seconds, _ = _des_replay(
+                        trace, reference=path == "reference"
+                    )
+                    times[path].append(seconds)
+            for path, samples in times.items():
+                result, _, calls = _des_replay(
+                    trace, reference=path == "reference", count=True
+                )
+                host_s = statistics.median(samples)
+                entry[path] = {
+                    "host_s": round(host_s, 4),
+                    "events_per_s": round(result.events_processed / host_s),
+                    "events": result.events_processed,
+                    **calls,
+                    "network_bytes": result.network_bytes,
+                    "makespan_s": result.makespan_s.hex(),
+                }
+            entry["ratio"] = round(
+                entry["reference"]["host_s"] / entry["train"]["host_s"], 3
+            )
+            variants[name] = entry
+        train_s = sum(v["train"]["host_s"] for v in variants.values())
+        ref_s = sum(v["reference"]["host_s"] for v in variants.values())
+        workloads[label] = {
+            "num_qubits": num_qubits,
+            "num_nodes": num_nodes,
+            "max_message": max_message,
+            "train_s": round(train_s, 4),
+            "reference_s": round(ref_s, 4),
+            "ratio": round(ref_s / train_s, 3),
+            "variants": variants,
+        }
+    return {
+        "schema": "repro-bench-des/1",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "repeats": repeats,
+        "ratio_floor": _DES_RATIO_FLOOR,
+        "workloads": workloads,
+    }
+
+
+def check_des_against(current: dict, baseline_path: str) -> list[str]:
+    """DES regressions: exact counts vs the baseline, ratio floor.
+
+    For every workload present in both files the per-path counts
+    (events, bookings, network bytes, makespan) must match exactly --
+    a replay that books differently or lands elsewhere is a behaviour
+    change, not noise.  Each current workload's reference/train ratio
+    must stay at or above the floor.
+    """
+    with open(baseline_path) as fh:
+        baseline = json.load(fh)
+    exact = (
+        "events",
+        "transfers",
+        "link_commits",
+        "network_bytes",
+        "makespan_s",
+    )
+    failures = []
+    for label, entry in baseline.get("workloads", {}).items():
+        now = current["workloads"].get(label)
+        if now is None:
+            continue
+        for name, variant in entry["variants"].items():
+            for path in ("train", "reference"):
+                for key in exact:
+                    want = variant[path][key]
+                    got = now["variants"][name][path][key]
+                    if got != want:
+                        failures.append(
+                            f"{label}/{name}/{path}: {key} changed "
+                            f"{want!r} -> {got!r}"
+                        )
+    for label, now in current["workloads"].items():
+        if now["ratio"] < _DES_RATIO_FLOOR:
+            failures.append(
+                f"{label}: train booking is only {now['ratio']:.2f}x faster "
+                f"than per-chunk (floor {_DES_RATIO_FLOOR:.1f}x)"
+            )
+    return failures
+
+
 def check_against(current: dict, baseline_path: str) -> list[str]:
     """Speedup-ratio regressions of ``current`` vs a baseline file.
 
@@ -1035,6 +1232,7 @@ def main(argv: list[str] | None = None) -> int:
             "obs",
             "transpile",
             "tune",
+            "des",
         ),
         default="kernels",
         help="what to measure (default: %(default)s)",
@@ -1153,6 +1351,36 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {output}")
         if args.check_against:
             failures = check_transpile_against(report, args.check_against)
+            if failures:
+                for line in failures:
+                    print(f"REGRESSION {line}", file=sys.stderr)
+                return 1
+            print(f"no regressions vs {args.check_against}")
+        return 0
+
+    if args.suite == "des":
+        report = run_des(args.quick)
+        with open(output, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for label, work in report["workloads"].items():
+            for name, entry in work["variants"].items():
+                train, ref = entry["train"], entry["reference"]
+                print(
+                    f"  {label:<9} {name:<20} train {train['host_s']:.3f}s "
+                    f"({train['events_per_s']:.0f} ev/s, "
+                    f"{train['transfers']} transfers)  reference "
+                    f"{ref['host_s']:.3f}s ({ref['transfers']} transfers)"
+                    f"  {entry['ratio']:.2f}x"
+                )
+            print(
+                f"  {label:<9} total: train {work['train_s']:.3f}s  "
+                f"reference {work['reference_s']:.3f}s  "
+                f"ratio {work['ratio']:.2f}x"
+            )
+        print(f"wrote {output}")
+        if args.check_against:
+            failures = check_des_against(report, args.check_against)
             if failures:
                 for line in failures:
                     print(f"REGRESSION {line}", file=sys.stderr)

@@ -30,7 +30,7 @@ Quickstart::
     print(result.makespan_s, result.timeline.gantt())
 """
 
-from repro.des.engine import Engine, Process, Signal, Timeout
+from repro.des.engine import Engine, Process, Signal, Timeout, Until
 from repro.des.replay import DesResult, simulate, simulate_trace
 from repro.des.resources import Fabric, Link, TokenPool
 from repro.des.schedule import (
@@ -56,6 +56,7 @@ from repro.des.validation import (
 __all__ = [
     "Engine",
     "Timeout",
+    "Until",
     "Signal",
     "Process",
     "Link",

@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 
 from repro.errors import DesError
 
-__all__ = ["Timeout", "Signal", "Process", "Engine"]
+__all__ = ["Timeout", "Until", "Signal", "Process", "Engine"]
 
 
 class Timeout:
@@ -34,6 +34,24 @@ class Timeout:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Timeout({self.seconds!r})"
+
+
+class Until:
+    """Yieldable request: resume the process at an absolute simulated time.
+
+    For a process that has already worked out its wake-up instant by the
+    clock arithmetic a run of :class:`Timeout` waits would have done:
+    ``Timeout(t - now)`` lands on ``now + (t - now)``, which can differ
+    from ``t`` in the last bit.
+    """
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self.time = time
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Until({self.time!r})"
 
 
 class Signal:
@@ -69,9 +87,9 @@ class Signal:
 class Process:
     """A generator coroutine driven by the engine.
 
-    The generator may yield :class:`Timeout` or :class:`Signal`
-    instances; anything else is a programming error.  When it returns,
-    ``done`` fires with the generator's return value.
+    The generator may yield :class:`Timeout`, :class:`Until` or
+    :class:`Signal` instances; anything else is a programming error.
+    When it returns, ``done`` fires with the generator's return value.
     """
 
     __slots__ = ("engine", "_gen", "alive", "done")
@@ -94,6 +112,9 @@ class Process:
             if isinstance(request, Timeout):
                 self.engine.schedule(request.seconds, self._advance, None)
                 return
+            if isinstance(request, Until):
+                self.engine.schedule_at(request.time, self._advance, None)
+                return
             if isinstance(request, Signal):
                 if request.fired:
                     # Already satisfied: continue inline at the same
@@ -103,7 +124,8 @@ class Process:
                 request._add_waiter(self)
                 return
             raise DesError(
-                f"process yielded {request!r}; expected Timeout or Signal"
+                f"process yielded {request!r}; expected Timeout, Until "
+                f"or Signal"
             )
 
 
@@ -131,6 +153,15 @@ class Engine:
             raise DesError(f"cannot schedule into the past (delay {delay})")
         self._seq += 1
         heappush(self._heap, (self._now + delay, self._seq, callback, arg))
+
+    def schedule_at(self, time: float, callback, arg=None) -> None:
+        """Run ``callback(arg)`` at absolute simulated time ``time``."""
+        if time < self._now:
+            raise DesError(
+                f"cannot schedule into the past (t={time} < now={self._now})"
+            )
+        self._seq += 1
+        heappush(self._heap, (time, self._seq, callback, arg))
 
     def signal(self) -> Signal:
         """A fresh one-shot signal bound to this engine."""

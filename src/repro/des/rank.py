@@ -17,6 +17,14 @@ communication mode:
 
 Both drivers reserve real link capacity, so co-located ranks and
 oversubscribed up-links contend instead of being averaged away.
+
+Where no other flow can book the pair's links between two of its chunks
+(:func:`_books_trains`), the whole exchange is booked as one chunk train
+per direction -- one :meth:`~repro.des.resources.Fabric.transfer` call
+and one commit per link -- with the same per-chunk float arithmetic, so
+the timeline is bit-identical to booking chunk by chunk.  Chunk faults,
+shared NICs under blocking exchanges and oversubscribed up-links keep
+the per-chunk drivers, where contention between chunks is real.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.des.engine import Engine, Signal, Timeout
+from repro.des.engine import Engine, Signal, Timeout, Until
 from repro.des.resources import Fabric, TokenPool
 from repro.des.schedule import ComputeOp, ExchangeOp, ScheduleSet
 from repro.des.timeline import Span, Timeline, TimelineEvent
@@ -53,9 +61,12 @@ class ReplayContext:
     #: Seeded per-chunk failure/retry decisions (None = healthy fabric).
     chunk_faults: "ChunkFaultModel | None" = None
     coordinator: "ExchangeCoordinator" = field(init=False)
+    #: Book each exchange's chunks as one train (see :func:`_books_trains`).
+    trains: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.coordinator = ExchangeCoordinator(self)
+        self.coordinator = ExchangeCoordinator()
+        self.trains = _books_trains(self)
 
     def node_of(self, rank: int) -> int:
         """Node hosting a rank (consecutive packing, as in the cost model)."""
@@ -68,31 +79,52 @@ class ExchangeCoordinator:
     The first arriver parks on the exchange's completion signal; the
     second spawns the driver process.  The signal fires with the
     ``(start, end)`` of the transfer so both ranks can attribute their
-    wait and communication spans precisely.
+    wait and communication spans precisely.  The context is passed in
+    rather than held, so a finished replay holds no reference cycle and
+    its fabric and engine are freed as soon as the replay returns.
     """
 
-    def __init__(self, ctx: ReplayContext):
-        self._ctx = ctx
-        self._pending: dict[tuple[int, int], Signal] = {}
+    def __init__(self) -> None:
+        self._pending: dict[tuple[int, int, int], Signal] = {}
 
-    def arrive(self, op: ExchangeOp, rank: int) -> Signal:
+    def arrive(self, ctx: ReplayContext, op: ExchangeOp, rank: int) -> Signal:
         # seq disambiguates a remap's serialised sub-exchanges: rank 0
         # meets partners 1, 2, 3... under the same gate index, and pair
         # (0, 1) of round 0 must not rendezvous with (0, 2) of round 1.
         key = (op.gate_index, op.seq, min(rank, op.partner))
         done = self._pending.pop(key, None)
         if done is None:
-            done = self._ctx.engine.signal()
+            done = ctx.engine.signal()
             self._pending[key] = done
             return done
         # Both sides present: drive the exchange from this instant.
-        self._ctx.engine.process(_drive_exchange(self._ctx, op, rank, done))
+        ctx.engine.process(_drive_exchange(ctx, op, rank, done))
         return done
 
     @property
     def outstanding(self) -> int:
         """Rendezvous still waiting for a partner (0 after a clean run)."""
         return len(self._pending)
+
+
+def _books_trains(ctx: ReplayContext) -> bool:
+    """Whether each exchange's chunks can be booked as one train.
+
+    A train books every chunk of an exchange in one
+    :meth:`Fabric.transfer` call, and so assumes nothing else books the
+    pair's links between its chunks.  Non-blocking exchanges post every
+    chunk without yielding, so that always holds.  A blocking exchange
+    yields after each chunk pair; it is only alone on its links when
+    every NIC serves one rank (``ranks_per_node == 1``) and no up-link
+    is oversubscribed -- each node then keeps a channel of its own.
+    Chunk faults interleave retransmissions with the first pass, so
+    they always take the per-chunk path.
+    """
+    if ctx.chunk_faults is not None:
+        return False
+    if ctx.mode is CommMode.NONBLOCKING:
+        return True
+    return ctx.ranks_per_node == 1 and not ctx.fabric.uplinks_oversubscribed
 
 
 def _drive_exchange(
@@ -110,13 +142,34 @@ def _drive_exchange(
         done.fire((start, engine.now))
         return
 
+    yield Timeout(ctx.setup_s)
+    blocking = ctx.mode is CommMode.BLOCKING
+    if ctx.trains:
+        booked = ctx.fabric.transfer(
+            node_a,
+            node_b,
+            op.chunk_sizes,
+            earliest=engine.now,
+            latency=ctx.latency_s,
+            duplex=True,
+            blocking=blocking,
+        )
+        if booked.end > engine.now:
+            # A blocking train's end is the clock its per-chunk timeouts
+            # would have reached; a pipelined train waits once, as below.
+            yield Until(booked.end) if blocking else Timeout(
+                booked.end - engine.now
+            )
+        done.fire((start, engine.now))
+        return
+
     faults = ctx.chunk_faults
     pair_low = min(rank, op.partner)
 
     def retries_of(chunk: int) -> int:
         if faults is None:
             return 0
-        return faults.attempts(op.gate_index, pair_low, chunk) - 1
+        return faults.attempts(op.gate_index, pair_low, chunk, seq=op.seq) - 1
 
     def note_retry(at: float, attempt: int) -> None:
         faults.retries += 1
@@ -129,21 +182,19 @@ def _drive_exchange(
             )
         )
 
-    yield Timeout(ctx.setup_s)
-    if ctx.mode is CommMode.BLOCKING:
+    def book(size: int, at: float, latency: float) -> float:
+        return ctx.fabric.transfer(
+            node_a, node_b, size, earliest=at, latency=latency, duplex=True
+        ).end
+
+    if blocking:
         for chunk, size in enumerate(op.chunk_sizes):
             # Sendrecv semantics: the chunk pair must complete in both
             # directions before the next pair is posted -- and a failed
             # pair is retransmitted (after backoff) before moving on.
             retries = retries_of(chunk)
             for attempt in range(retries + 1):
-                fwd = ctx.fabric.transfer(
-                    node_a, node_b, size, earliest=engine.now, latency=ctx.latency_s
-                )
-                rev = ctx.fabric.transfer(
-                    node_b, node_a, size, earliest=engine.now, latency=ctx.latency_s
-                )
-                target = max(fwd.end, rev.end)
+                target = book(size, engine.now, ctx.latency_s)
                 if attempt < retries:
                     # Corrupt/dropped chunk: detected at completion,
                     # retransmitted after exponential backoff.
@@ -153,22 +204,13 @@ def _drive_exchange(
                     yield Timeout(target - engine.now)
     else:
         end = engine.now
-        first = True
         failed: list[tuple[int, int, int, float]] = []
         for chunk, size in enumerate(op.chunk_sizes):
-            latency = ctx.latency_s if first else 0.0
-            fwd = ctx.fabric.transfer(
-                node_a, node_b, size, earliest=engine.now, latency=latency
-            )
-            rev = ctx.fabric.transfer(
-                node_b, node_a, size, earliest=engine.now, latency=latency
-            )
-            chunk_end = max(fwd.end, rev.end)
+            chunk_end = book(size, engine.now, 0.0 if chunk else ctx.latency_s)
             retries = retries_of(chunk)
             if retries:
                 failed.append((chunk, size, retries, chunk_end))
             end = max(end, chunk_end)
-            first = False
         # Failed chunks surface at the Waitall: each is retransmitted
         # (with backoff) until it lands, pipelined like the first pass.
         for chunk, size, retries, chunk_end in failed:
@@ -176,13 +218,7 @@ def _drive_exchange(
             for attempt in range(retries):
                 note_retry(at, attempt)
                 at += faults.backoff_s(attempt)
-                fwd = ctx.fabric.transfer(
-                    node_a, node_b, size, earliest=at, latency=0.0
-                )
-                rev = ctx.fabric.transfer(
-                    node_b, node_a, size, earliest=at, latency=0.0
-                )
-                at = max(fwd.end, rev.end)
+                at = book(size, at, 0.0)
             end = max(end, at)
         # All chunks posted at once; one Waitall completes them.
         if end > engine.now:
@@ -214,7 +250,7 @@ def rank_process(ctx: ReplayContext, rank: int):
             continue
 
         arrived = engine.now
-        done = ctx.coordinator.arrive(op, rank)
+        done = ctx.coordinator.arrive(ctx, op, rank)
         yield done
         comm_start, comm_end = done.value
         timeline.add(

@@ -21,8 +21,10 @@ when occupancy is uniform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
-from typing import NamedTuple
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from repro.errors import DesError
 from repro.des.engine import Engine, Signal
@@ -33,6 +35,13 @@ __all__ = [
     "Fabric",
     "FlowReservation",
 ]
+
+
+#: Relative tolerance under which a channel freeing just after a chunk's
+#: start still counts as free for best fit.
+_FIT_SLACK = 1e-12
+
+_chunk_end = itemgetter(1)
 
 
 class Link:
@@ -72,30 +81,77 @@ class Link:
         """Earliest time any channel is available."""
         return min(self._free)
 
-    def commit(self, start: float, end: float, nbytes: int) -> None:
-        """Book a channel for ``[start, end)``.
+    def commit(
+        self,
+        start: float,
+        end: float,
+        nbytes: int,
+        busy: float | None = None,
+        spans: list[tuple[float, float]] | None = None,
+    ) -> None:
+        """Book a channel for ``[start, end)``: one chunk or a chunk train.
 
         Best fit: the channel whose free time is latest while still at
         or before ``start``.  Least-loaded (min-free) selection would
         fragment the channels -- a flow's second chunk would book a
         fresh channel instead of reusing the one its first chunk just
         vacated, spuriously delaying later flows in the same group.
+
+        A train books its chunks in one call: ``spans`` lists each
+        chunk's ``(start, end)`` in order, ``busy`` is the sum of their
+        durations and ``nbytes`` their total.  The train stays on the
+        channel its first chunk fits -- the channel chunk-by-chunk best
+        fit picks for every chunk, unless another channel frees within
+        the fit slack of a chunk boundary (:meth:`_hops`); then the
+        chunks are fitted one by one.
         """
         free = self._free
         if len(free) == 1:
             free[0] = end
         else:
-            eps = 1e-12 * (1.0 + abs(start))
-            best = None
-            for channel, t in enumerate(free):
-                if t <= start + eps and (best is None or t > free[best]):
-                    best = channel
-            channel = best if best is not None else free.index(min(free))
-            free[channel] = end
-        self.busy_s += end - start
+            channel = self._best_fit(start)
+            if spans is not None and len(spans) > 1 and self._hops(channel, spans):
+                for chunk_start, chunk_end in spans:
+                    free[self._best_fit(chunk_start)] = chunk_end
+            else:
+                free[channel] = end
+        self.busy_s += end - start if busy is None else busy
         self.bytes_moved += nbytes
         if self.intervals is not None:
-            self.intervals.append((start, end))
+            if spans is None:
+                self.intervals.append((start, end))
+            else:
+                self.intervals.extend(spans)
+
+    def _best_fit(self, start: float) -> int:
+        free = self._free
+        eps = _FIT_SLACK * (1.0 + abs(start))
+        best = None
+        for channel, t in enumerate(free):
+            if t <= start + eps and (best is None or t > free[best]):
+                best = channel
+        return best if best is not None else free.index(min(free))
+
+    def _hops(self, channel: int, spans: list[tuple[float, float]]) -> bool:
+        """Whether per-chunk best fit would move a train off ``channel``.
+
+        Chunk ``k`` leaves the channel (which frees at ``end[k-1]``)
+        only for another channel freeing in
+        ``[end[k-1], start[k] + slack]``.  The windows grow with ``k``,
+        so a free time need only be checked against the last window
+        opening at or before it.
+        """
+        lo = spans[0][1]
+        last = spans[-1][0]
+        hi = last + _FIT_SLACK * (1.0 + abs(last))
+        for other, t in enumerate(self._free):
+            if other == channel or not lo <= t <= hi:
+                continue
+            k = bisect_right(spans, t, 0, len(spans) - 1, key=_chunk_end)
+            start = spans[k][0]
+            if t <= start + _FIT_SLACK * (1.0 + abs(start)):
+                return True
+        return False
 
     def utilisation(self, horizon: float) -> float:
         """Mean busy fraction over ``[0, horizon]`` across channels."""
@@ -141,7 +197,8 @@ class TokenPool:
 
 
 class FlowReservation(NamedTuple):
-    """Outcome of booking one chunk across its link path."""
+    """Outcome of a booking: when the src -> dst train starts, and when
+    the whole transfer completes (see :meth:`Fabric.transfer`)."""
 
     start: float
     end: float
@@ -206,7 +263,17 @@ class Fabric:
             )
             for g in range(num_groups)
         ]
-        self._paths: dict[tuple[int, int], tuple[Link, ...]] = {}
+        self._paths: dict[tuple[int, int, bool], tuple[tuple[Link, ...], ...]] = {}
+
+    @property
+    def uplinks_oversubscribed(self) -> bool:
+        """True when flows cross switches and some group has more nodes
+        than up-link channels."""
+        nps = self.nodes_per_switch
+        return len(self.uplink_up) > 1 and any(
+            len(link._free) < min(nps, self.num_nodes - g * nps)
+            for g, link in enumerate(self.uplink_up)
+        )
 
     def group_of(self, node: int) -> int:
         """Which switch group a node belongs to (dense packing)."""
@@ -227,39 +294,103 @@ class Fabric:
         self,
         src_node: int,
         dst_node: int,
-        nbytes: int,
+        sizes: int | Sequence[int],
         *,
         earliest: float,
         latency: float = 0.0,
+        duplex: bool = False,
+        blocking: bool = False,
     ) -> FlowReservation:
-        """Book one chunk src -> dst; cut-through across the whole path.
+        """Book a chunk train src -> dst; cut-through across the whole path.
 
-        The flow starts when every link on the path has a free channel,
+        ``sizes`` lists the chunk sizes (a bare int is one chunk).  Each
+        chunk starts when every link on the path has a free channel,
         moves at the bottleneck rate, and occupies all links for its
         duration (plus the message latency, which models the software
-        injection cost and so does occupy the NIC).
+        injection cost and so does occupy the NIC).  ``duplex`` books
+        the same chunks dst -> src as well -- one pairwise exchange.
+
+        Chunks follow one another without leaving the call, which is
+        exact wherever nothing else can book the train's links
+        mid-train (see :mod:`repro.des.rank`):
+
+        * pipelined (default): chunk ``k + 1`` starts where chunk ``k``
+          ended on the path's single-channel NIC; only the first chunk
+          pays ``latency``.  ``end`` is the last chunk's completion.
+        * ``blocking``: chunk ``k + 1`` (both directions) is posted when
+          chunk ``k`` has completed both ways, every chunk pays
+          ``latency``, and the clock advances as a chain of engine
+          timeouts would (``now + (done - now)``).  ``end`` is that
+          clock after the last chunk.
+
+        Each link is committed once per call, with the per-chunk
+        durations summed in chunk order.
         """
-        if nbytes < 0:
-            raise DesError(f"transfer size must be >= 0, got {nbytes}")
-        key = (src_node, dst_node)
-        links = self._paths.get(key)
-        if links is None:
-            links = tuple(self.path(src_node, dst_node))
-            self._paths[key] = links
-        if not links:
+        if isinstance(sizes, int):
+            sizes = (sizes,)
+        if sizes and min(sizes) < 0:
+            raise DesError(f"transfer size must be >= 0, got {min(sizes)}")
+        paths = self._routes(src_node, dst_node, duplex)
+        if not paths or not sizes:
             return FlowReservation(earliest, earliest)
-        start = earliest
-        rate = self.bandwidth
-        for link in links:
-            free = min(link._free)
-            if free > start:
-                start = free
-            if link.bandwidth < rate:
-                rate = link.bandwidth
-        end = start + latency + nbytes / rate
-        for link in links:
-            link.commit(start, end, nbytes)
-        return FlowReservation(start, end)
+        # Per direction: where the train can start, its bottleneck rate,
+        # its chunks' (start, end) and their summed durations.
+        tails = []
+        rates = []
+        spans: list[list[tuple[float, float]]] = []
+        busy = []
+        for links in paths:
+            start = earliest
+            rate = self.bandwidth
+            for link in links:
+                free = min(link._free)
+                if free > start:
+                    start = free
+                if link.bandwidth < rate:
+                    rate = link.bandwidth
+            tails.append(start)
+            rates.append(rate)
+            spans.append([])
+            busy.append(0.0)
+        first = tails[0]
+        clock = earliest
+        lat = latency
+        for size in sizes:
+            done = clock
+            for d, rate in enumerate(rates):
+                start = tails[d] if tails[d] > clock else clock
+                end = start + lat + size / rate
+                tails[d] = end
+                spans[d].append((start, end))
+                busy[d] += end - start
+                if end > done:
+                    done = end
+            if not blocking:
+                lat = 0.0
+            elif done > clock:
+                clock = clock + (done - clock)
+        total = sum(sizes)
+        for links, train, train_busy in zip(paths, spans, busy):
+            train_start, train_end = train[0][0], train[-1][1]
+            for link in links:
+                link.commit(train_start, train_end, total, train_busy, train)
+        return FlowReservation(first, clock if blocking else done)
+
+    def _routes(
+        self, src_node: int, dst_node: int, duplex: bool
+    ) -> tuple[tuple[Link, ...], ...]:
+        """The link paths a transfer books: src -> dst, then dst -> src if
+        ``duplex``; empty for same-node."""
+        key = (src_node, dst_node, duplex)
+        paths = self._paths.get(key)
+        if paths is None:
+            pairs = [(src_node, dst_node)]
+            if duplex:
+                pairs.append((dst_node, src_node))
+            paths = tuple(tuple(self.path(*pair)) for pair in pairs)
+            paths = paths if paths[0] else ()
+            self._paths[key] = paths
+        return paths
 
     # -- accounting ----------------------------------------------------------
 

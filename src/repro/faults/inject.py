@@ -87,7 +87,7 @@ def degrade_fabric(fabric, plan: FaultPlan) -> None:
 class ChunkFaultModel:
     """Seeded per-chunk failure/retry decisions for the exchange drivers.
 
-    ``attempts`` is a pure function of ``(seed, gate, pair, chunk)``:
+    ``attempts`` is a pure function of ``(seed, gate, seq, pair, chunk)``:
     attempt ``i`` fails iff its keyed uniform draw lands below the
     failure rate, capped at ``max_retries`` retransmissions (a reliable
     transport eventually forces the chunk through).  Event-loop order
@@ -106,13 +106,28 @@ class ChunkFaultModel:
         #: Total retransmissions issued during the replay (accounting).
         self.retries = 0
 
-    def attempts(self, gate_index: int, pair_low_rank: int, chunk: int) -> int:
-        """Transmission attempts chunk ``chunk`` of this exchange needs."""
+    def attempts(
+        self, gate_index: int, pair_low_rank: int, chunk: int, *, seq: int = 0
+    ) -> int:
+        """Transmission attempts chunk ``chunk`` of this exchange needs.
+
+        ``seq`` is the exchange's round within its gate: the rounds of a
+        remap pair the same low rank with different partners and must
+        draw independently.  Round 0 keys on the gate alone, so ordinary
+        gates keep their draws.
+        """
+        rounds = (seq,) if seq else ()
         attempt = 0
         while (
             attempt < self._max_retries
             and uniform(
-                self._seed, self._STREAM, gate_index, pair_low_rank, chunk, attempt
+                self._seed,
+                self._STREAM,
+                gate_index,
+                pair_low_rank,
+                chunk,
+                attempt,
+                *rounds,
             )
             < self._rate
         ):

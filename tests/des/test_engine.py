@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Engine, Signal, Timeout
+from repro.des import Engine, Signal, Timeout, Until
 from repro.errors import DesError
 
 
@@ -13,6 +13,32 @@ class TestTimeout:
 
     def test_zero_allowed(self):
         assert Timeout(0.0).seconds == 0.0
+
+
+class TestUntil:
+    def test_resumes_at_the_absolute_time(self):
+        engine = Engine()
+        woke = []
+
+        def proc():
+            yield Timeout(0.1)
+            yield Until(0.4)
+            woke.append(engine.now)
+
+        engine.process(proc())
+        engine.run()
+        assert woke == [0.4]
+
+    def test_past_time_rejected(self):
+        engine = Engine()
+
+        def proc():
+            yield Timeout(1.0)
+            yield Until(0.5)
+
+        engine.process(proc())
+        with pytest.raises(DesError):
+            engine.run()
 
 
 class TestEngine:

@@ -1,6 +1,11 @@
 """Tests for the full DES replay: determinism, mode semantics, cross-check."""
 
+import gc
+import weakref
+
 import pytest
+
+import repro.des.rank as des_rank
 
 from repro.circuits import qft_circuit
 from repro.des import (
@@ -54,6 +59,28 @@ class TestDeterminism:
         assert result.network_bytes > 0
         assert 0 < result.nic_utilisation <= 1
         assert result.utilisation  # intervals auto-recorded at small scale
+
+
+    def test_finished_replay_frees_its_fabric_without_gc(self, monkeypatch):
+        """No reference cycle outlives a replay: with the cyclic GC off,
+        its fabric (every link and the path cache) is freed on return."""
+        fabrics = []
+        books = des_rank._books_trains
+
+        def spy(ctx):
+            fabrics.append(weakref.ref(ctx.fabric))
+            return books(ctx)
+
+        monkeypatch.setattr(des_rank, "_books_trains", spy)
+        config = make_config(comm_mode=CommMode.BLOCKING)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulate(qft_circuit(22), config)
+            assert fabrics and fabrics[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestModeSemantics:

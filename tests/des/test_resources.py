@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Engine, Fabric, Link, Timeout, TokenPool
+from repro.des import Engine, Fabric, Link, Timeout, TokenPool, Until
 from repro.errors import DesError
 
 
@@ -165,3 +165,69 @@ class TestFabricTransfers:
         fabric.transfer(0, 9, 500, earliest=0.0)
         fabric.transfer(9, 0, 500, earliest=0.0)
         assert fabric.bytes_on_network() == 1000
+
+
+class TestChunkTrains:
+    """A train booked in one call matches booking its chunks one by one."""
+
+    @pytest.mark.parametrize("other_free", [0.5, 1.0, 1.0 + 1e-13, 5.0])
+    def test_train_commit_equals_chunk_commits(self, other_free):
+        """Including when another channel frees within the best-fit slack
+        of a chunk boundary, where per-chunk fitting changes channel."""
+        spans = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+        train, chunks = Link("t", 1e9, channels=2), Link("c", 1e9, channels=2)
+        for link in (train, chunks):
+            link.commit(0.0, other_free, 10)
+        train.commit(0.0, 3.0, 30, busy=3.0, spans=spans)
+        for start, end in spans:
+            chunks.commit(start, end, 10)
+        assert train.next_free() == chunks.next_free()
+        assert train.busy_s == chunks.busy_s
+        assert train.bytes_moved == chunks.bytes_moved
+        train.commit(0.0, 9.0, 1)
+        chunks.commit(0.0, 9.0, 1)
+        assert train.next_free() == chunks.next_free()
+
+    def test_pipelined_train_pays_latency_once(self):
+        fabric = Fabric(2, bandwidth=1e9)
+        flow = fabric.transfer(0, 1, [10**9, 10**9], earliest=0.0, latency=0.5)
+        assert flow.end == pytest.approx(2.5)
+        assert fabric.nic_tx[0].busy_s == pytest.approx(2.5)
+        assert fabric.bytes_on_network() == 2 * 10**9
+
+    @pytest.mark.parametrize("chunks", [1, 8])
+    def test_blocking_train_lands_where_chunk_timeouts_would(self, chunks):
+        """The blocking train's clock chain ``now + (done - now)`` is the
+        engine's: from t=0.1 on a 3 GB/s fabric, a 1 GB chunk's ``done``
+        and ``0.1 + (done - 0.1)`` differ in the last bit."""
+        sizes = [10**9] * chunks
+
+        def per_chunk(engine, fabric):
+            yield Timeout(0.1)
+            for size in sizes:
+                done = fabric.transfer(
+                    0, 1, size, earliest=engine.now, latency=1e-6, duplex=True
+                ).end
+                if done > engine.now:
+                    yield Timeout(done - engine.now)
+
+        def train(engine, fabric):
+            yield Timeout(0.1)
+            done = fabric.transfer(
+                0,
+                1,
+                sizes,
+                earliest=engine.now,
+                latency=1e-6,
+                duplex=True,
+                blocking=True,
+            ).end
+            yield Until(done)
+
+        finished = []
+        for driver in (per_chunk, train):
+            engine = Engine()
+            fabric = Fabric(2, bandwidth=3e9)
+            engine.process(driver(engine, fabric))
+            finished.append((engine.run(), fabric.nic_rx[1].next_free()))
+        assert finished[0] == finished[1]

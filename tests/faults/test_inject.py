@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits import qft_circuit
+from repro.circuits import builtin_qft_circuit, qft_circuit
 from repro.des import simulate, simulate_trace
 from repro.des.schedule import ComputeOp, ExchangeOp, export_schedules
 from repro.errors import FaultError
@@ -29,6 +29,7 @@ from repro.perfmodel import (
     trace_circuit,
 )
 from repro.statevector import Partition
+from repro.transpile import transpile
 
 
 def make_config(n=20, ranks=8, **kwargs):
@@ -81,6 +82,17 @@ class TestChunkFaultModel:
         plan = FaultPlan(seed=0, chunk_failure_rate=0.99, max_retries=3)
         model = ChunkFaultModel(plan)
         assert max(model.attempts(g, 0, c) for g in range(20) for c in range(4)) <= 4
+
+    def test_rounds_of_one_gate_draw_independently(self):
+        """A remap's rounds share gate index and low rank; ``seq`` keys
+        them apart, and round 0 keeps the ordinary gate's draws."""
+        model = ChunkFaultModel(FaultPlan(seed=5, chunk_failure_rate=0.5))
+        coords = [(g, p, c) for g in range(4) for p in range(4) for c in range(4)]
+        rounds = [
+            [model.attempts(*xyz, seq=seq) for xyz in coords] for seq in range(3)
+        ]
+        assert rounds[0] == [model.attempts(*xyz) for xyz in coords]
+        assert rounds[0] != rounds[1] != rounds[2] != rounds[0]
 
     def test_backoff_doubles(self):
         model = ChunkFaultModel(FaultPlan(chunk_failure_rate=0.1, retry_backoff_s=1e-3))
@@ -141,6 +153,40 @@ class TestReplayInjection:
         assert lossy.faults.chunk_retries > 0
         assert lossy.makespan_s > clean.makespan_s
         assert lossy.timeline.events_of("retry")
+
+    @pytest.mark.parametrize(
+        "mode", [CommMode.BLOCKING, CommMode.NONBLOCKING]
+    )
+    def test_remap_rounds_retry_independently(self, mode):
+        """Each round of a g=2 remap (3 partners for rank 0 under one
+        gate index) gets its own chunk draws: the replay's retries are
+        exactly the per-round keyed draws summed over every pair."""
+        partition = Partition(14, 16)
+        grouped = transpile(
+            builtin_qft_circuit(14),
+            partition,
+            strategy="grouped",
+            max_remap_pairs=2,
+        )
+        config = make_config(14, 16, comm_mode=mode, max_message=1024)
+        trace = trace_circuit(grouped.circuit, config)
+        plan = FaultPlan(seed=3, chunk_failure_rate=0.5)
+        model = ChunkFaultModel(plan)
+        schedule = export_schedules(trace)
+        ops = [
+            (rank, op)
+            for rank in range(16)
+            for op in schedule.ops_for(rank)
+            if isinstance(op, ExchangeOp) and rank < op.partner
+        ]
+        assert max(op.seq for _, op in ops) == 2
+        expected = sum(
+            model.attempts(op.gate_index, rank, chunk, seq=op.seq) - 1
+            for rank, op in ops
+            for chunk in range(len(op.chunk_sizes))
+        )
+        lossy = simulate_trace(trace, faults=plan)
+        assert lossy.faults.chunk_retries == expected
 
     def test_fault_replay_deterministic(self):
         config = make_config()
