@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["mix64", "uniform", "exponential"]
+import numpy as np
+
+__all__ = ["mix64", "mix64_batch", "uniform", "exponential"]
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64's golden-gamma increment.
@@ -35,6 +37,20 @@ def mix64(*parts: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         state = z ^ (z >> 31)
     return state
+
+
+def mix64_batch(*parts: int, counters: np.ndarray) -> np.ndarray:
+    """``mix64(*parts, c)`` for every ``c`` in ``counters``, as uint64.
+
+    The prefix is mixed once in Python; the last round runs over the
+    whole counter array in numpy's wrapping uint64 arithmetic, which is
+    exactly the ``& _MASK64`` of the scalar version.
+    """
+    base = (mix64(*parts) + _GAMMA) & _MASK64
+    z = np.asarray(counters, dtype=np.uint64) + np.uint64(base)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def uniform(*parts: int) -> float:

@@ -307,8 +307,8 @@ def sampling_plan(partition: Partition, shots: int) -> GatePlan:
     probability totals (~2 flops/amp), the scalar totals gather to one
     root (16 bytes, a single latency-bound round across the top rank
     bit), and the root draws every shot by cumulative lookup -- about
-    ``num_qubits`` comparisons per shot as the two-level descent narrows
-    a slice, a block, then an element.
+    ``num_qubits`` comparisons per shot as bisection narrows a
+    64-amplitude segment, then an element inside it.
     """
     if shots < 1:
         raise SimulationError(f"sampling_plan needs shots >= 1, got {shots}")

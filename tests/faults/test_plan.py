@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import FaultError
@@ -13,7 +14,7 @@ from repro.faults import (
     NodeFailure,
     Straggler,
 )
-from repro.faults.rng import exponential, mix64, uniform
+from repro.faults.rng import exponential, mix64, mix64_batch, uniform
 
 
 class TestRng:
@@ -21,6 +22,19 @@ class TestRng:
         assert mix64(1, 2, 3) == mix64(1, 2, 3)
         assert mix64(1, 2, 3) != mix64(1, 2, 4)
         assert mix64(1, 2, 3) != mix64(1, 3, 2)
+
+    def test_mix64_batch_equals_scalar(self):
+        counters = np.concatenate(
+            [
+                np.arange(8192, dtype=np.uint64),
+                np.array([2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+            ]
+        )
+        for prefix in ((), (7,), (7, 0x53414D50), (-1, 2**70 + 3)):
+            got = mix64_batch(*prefix, counters=counters)
+            assert got.dtype == np.uint64
+            want = [mix64(*prefix, c) for c in counters.tolist()]
+            assert got.tolist() == want
 
     def test_uniform_range(self):
         for i in range(200):

@@ -14,7 +14,7 @@ from repro.circuits import (
 from repro.errors import PoolError, SimulationError, ValidationError
 from repro.gates import Gate
 from repro.mpi import CommMode
-from repro.parallel import EXECUTOR_ENV, resolve_executor
+from repro.parallel import EXECUTOR_ENV, POOL_HOSTS_ENV, resolve_executor
 from repro.statevector import DistributedStatevector
 
 
@@ -192,6 +192,9 @@ class TestExecutorSeam:
     def test_resolve_without_shm(self, monkeypatch):
         import repro.parallel.shm as shm_mod
 
+        # A host list in the environment routes "pool" to TCP, which
+        # needs no shared memory; this test is about the shm-only path.
+        monkeypatch.delenv(POOL_HOSTS_ENV, raising=False)
         monkeypatch.setattr(shm_mod, "_available", False)
         with pytest.raises(PoolError, match="shared memory"):
             resolve_executor("pool")

@@ -97,6 +97,83 @@ class TestExactPrimitives:
             assert int(got[s]) == j
         assert sq[np.asarray(got, dtype=int)].min() > 0
 
+    def test_sample_exact_matches_naive_search_across_blocks(self):
+        from itertools import accumulate
+
+        from repro.faults.rng import mix64
+
+        # 2**13 amps: two 4096-element reference blocks, 128 sampler
+        # segments, four slices; the zero run crosses segment, block and
+        # slice boundaries.
+        psi = random_state(13, seed=13)
+        psi[1000:5000] = 0
+        re = np.asarray(psi.real, dtype=np.float64)
+        im = np.asarray(psi.imag, dtype=np.float64)
+        cum = list(
+            accumulate(
+                a + b
+                for a, b in zip(
+                    exact._unit_values(re * re), exact._unit_values(im * im)
+                )
+            )
+        )
+        got = exact.sample_exact(np.split(psi, 4), 96, seed=17)
+        for s in range(96):
+            target = (mix64(17, exact.SAMPLE_STREAM, s) >> 11) * cum[-1]
+            j = next(j for j, c in enumerate(cum) if (c << 53) > target)
+            assert int(got[s]) == j
+        assert not np.any((got >= 1000) & (got < 5000))
+
+    @staticmethod
+    def _crafted_segments() -> np.ndarray:
+        """Squared components of four 64-amp rows built to strain the
+        fixed-point level: mixed exponents with zeros and a subnormal,
+        equal weights, an all-subnormal row, and a row whose every
+        component but the first truncates with an error just under one
+        unit, so the ``2(j+1)`` bound is nearly tight."""
+        rng = np.random.default_rng(5)
+        mixed = rng.normal(size=(64, 2)) * 10.0 ** rng.uniform(-30, 0, (64, 2))
+        mixed[::7] = 0
+        mixed[3, 1] = 1e-160
+        equal = np.full((64, 2), 0.125)
+        tiny = rng.normal(size=(64, 2)) * 1e-160
+        sq = np.stack([mixed, equal, tiny]) ** 2
+        # Mantissa 2**53 - 1, 52 binary places below the top component.
+        ragged = np.full((1, 64, 2), 2.0 - 2.0**-52)
+        ragged[0, 0, 0] = 2.0**52
+        return np.concatenate([sq, ragged])
+
+    def test_segment_totals_are_exact(self):
+        sq = self._crafted_segments()
+        # The mixed row holds components far more than 2**55 below its
+        # largest, which take the one-by-one path.
+        x, _ = exact._scaled(sq)
+        assert ((x[0] > 0) & (x[0] < 2.0 ** (52 - exact._FRAC_BITS))).any()
+        assert exact._segment_totals(sq) == [
+            sum(exact._unit_values(row.ravel())) for row in sq
+        ]
+
+    def test_fixed_point_bounds_bracket_and_fallback_is_exact(self):
+        from itertools import accumulate
+
+        sq = self._crafted_segments()
+        rows, rems, want = [], [], []
+        for row in range(len(sq)):
+            units = exact._unit_values(sq[row].ravel())
+            cum = list(accumulate(map(sum, zip(units[::2], units[1::2]))))
+            # Targets at, just below and just above every exact C_j.
+            for c in cum:
+                for rem in (c - 1, c, c + 1):
+                    if 0 <= rem < cum[-1]:
+                        rows.append(row)
+                        rems.append(rem)
+                        want.append(sum(cj <= rem for cj in cum))
+        rows = np.array(rows)
+        j_lo, j_hi = exact._fixed_point_bounds(sq, rows, rems)
+        assert np.all(j_lo <= want) and np.all(np.asarray(want) <= j_hi)
+        assert np.count_nonzero(j_lo != j_hi) > len(rems) // 4
+        assert exact._resolve_elements(sq, rows, rems).tolist() == want
+
     def test_sample_exact_rejects_bad_input(self):
         psi = random_state(3, seed=1)
         with pytest.raises(SimulationError, match="shots"):
