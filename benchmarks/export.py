@@ -61,8 +61,9 @@ both the baseline and the current run: bit-identity across executors
 and between the batched exact sampler and its per-shot reference twin;
 the batched sampler's speedup over that twin on the workload's final
 state, timed in the same run (>= 20x; 50x under ``--quick``); and the
-marginal per-shot cost staying sub-linear in the state size on a
-spread and a concentrated state (bisection over segment cumulatives
+marginal per-shot cost -- a least-squares slope of wall time over six
+shot counts from 256 to 8192 -- staying sub-linear in the state size on
+a spread and a concentrated state (bisection over segment cumulatives
 grows a few x over 64x more amplitudes; a regression to a linear
 per-shot scan blows the small-to-large ratio past the 8x ceiling).
 
@@ -525,27 +526,40 @@ def _median_draw_s(sampler, amps, shots, seed, repeats):
     return statistics.median(runs), out
 
 
-def _marginal_shot_ns(amps, shots_lo, shots_hi, seed, repeats) -> float:
-    """Marginal ns per shot, isolated from the setup cost.
+#: Shot counts of the marginal-cost probe, geometric from 2**8 to 2**13.
+_SAMPLING_SHOT_LADDER = (256, 512, 1024, 2048, 4096, 8192)
 
-    Times ``sample_exact`` at two shot counts on the same state; the
-    difference divides out the one-off exact prefix build (which is
-    linear in the state size by design) and leaves the per-shot cost.
+
+def _scale_probe(states: dict, seed: int, repeats: int):
+    """Marginal per-shot cost at each probe width and their ratio.
+
+    Times ``sample_exact`` on every state at every count of
+    ``_SAMPLING_SHOT_LADDER``, interleaved so that host load drifts
+    over all widths alike, and fits each state's median wall times
+    against the shot count by least squares: the intercept absorbs the
+    one-off exact prefix build (linear in the state size by design), the
+    slope is the per-shot cost.  A difference of two medians at two
+    counts let host noise swing the ratio by several x, once below zero.
     """
     from repro.statevector.exact import sample_exact
 
-    sample_exact([amps], shots_hi, seed)  # warm caches and allocator
-    lo, _ = _median_draw_s(sample_exact, amps, shots_lo, seed, repeats)
-    hi, _ = _median_draw_s(sample_exact, amps, shots_hi, seed, repeats)
-    return (hi - lo) / (shots_hi - shots_lo) * 1e9
-
-
-def _scale_probe(states: dict, lo: int, hi: int, seed: int, repeats: int):
-    """Marginal per-shot cost at each probe width and their ratio."""
-    marginal = {
-        q: _marginal_shot_ns(amps, lo, hi, seed, repeats)
-        for q, amps in states.items()
-    }
+    walls = {(q, shots): [] for q in states for shots in _SAMPLING_SHOT_LADDER}
+    for amps in states.values():
+        sample_exact([amps], _SAMPLING_SHOT_LADDER[-1], seed)  # warm caches
+    for _ in range(repeats):
+        for shots in _SAMPLING_SHOT_LADDER:
+            for q, amps in states.items():
+                t0 = time.perf_counter()
+                sample_exact([amps], shots, seed)
+                walls[q, shots].append(time.perf_counter() - t0)
+    marginal = {}
+    for q in states:
+        medians = [
+            statistics.median(walls[q, shots])
+            for shots in _SAMPLING_SHOT_LADDER
+        ]
+        slope, _ = np.polyfit(_SAMPLING_SHOT_LADDER, medians, 1)
+        marginal[q] = float(slope) * 1e9
     small_q, large_q = _SAMPLING_SCALE_QUBITS
     return {
         "marginal_ns_per_shot": {
@@ -609,18 +623,17 @@ def run_sampling(quick: bool) -> dict:
     )
     batched_s, got = _median_draw_s(sample_exact, final, shots, seed, repeats)
 
-    lo, hi = 128, 2048
-    probe_repeats = max(3, repeats)
+    probe_repeats = max(5, repeats)
     spread = _scale_probe(
         {q: random_state(q, seed=q) for q in _SAMPLING_SCALE_QUBITS},
-        lo, hi, seed, probe_repeats,
+        seed, probe_repeats,
     )
     concentrated = _scale_probe(
         {
             q: _measured_state(build_workload("qaoa-sampled", q).circuit, seed)
             for q in _SAMPLING_SCALE_QUBITS
         },
-        lo, hi, seed, probe_repeats,
+        seed, probe_repeats,
     )
     small_q, large_q = _SAMPLING_SCALE_QUBITS
     return {
@@ -659,8 +672,10 @@ def run_sampling(quick: bool) -> dict:
             "bit_identical": bool(np.array_equal(got, want)),
         },
         "exact": {
-            "shots_lo": lo,
-            "shots_hi": hi,
+            # Ends of the probe's shot ladder (least-squares fit over
+            # _SAMPLING_SHOT_LADDER).
+            "shots_lo": _SAMPLING_SHOT_LADDER[0],
+            "shots_hi": _SAMPLING_SHOT_LADDER[-1],
             "amps_ratio": 1 << (large_q - small_q),
             # Spread random-state probe at the top level.
             **spread,

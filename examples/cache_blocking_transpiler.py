@@ -2,7 +2,7 @@
 """The generic cache-blocking transpiler on real workloads.
 
 Demonstrates the paper's proposed future-work transpiler
-(:class:`repro.core.CacheBlockingPass`) on the QFT, Quantum Phase
+(:class:`repro.transpile.CacheBlockingPass`) on the QFT, Quantum Phase
 Estimation and a random circuit: counts the distributed operations
 before and after, verifies numerical equivalence, prices the win on the
 ARCHER2 model, and exports the blocked QFT as OpenQASM.
@@ -17,12 +17,11 @@ from repro.circuits import (
     random_circuit,
     to_qasm,
 )
-from repro.core import CacheBlockingPass
-from repro.core.transpiler import assert_equivalent
 from repro.machine import CpuFrequency, STANDARD_NODE
 from repro.mpi import CommMode
 from repro.perfmodel import RunConfiguration, predict
 from repro.statevector import Partition
+from repro.transpile import CacheBlockingPass, assert_equivalent
 from repro.utils.tables import render_table
 
 

@@ -23,9 +23,9 @@ from repro.circuits import (
     tfim_trotter_circuit,
 )
 from repro.core import RunOptions, SimulationRunner
-from repro.core.transpiler import CacheBlockingPass
 from repro.statevector import DenseStatevector
 from repro.statevector.fidelity import fidelity
+from repro.transpile import CacheBlockingPass
 from repro.utils.tables import render_table
 
 

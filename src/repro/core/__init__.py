@@ -24,13 +24,13 @@ from repro.core.study import (
     relative_to_baseline,
     sweep_qft_setups,
 )
-from repro.core.transpiler import (
+from repro.transpile import (
     CacheBlockingPass,
     DiagonalFusionPass,
-    PassManager,
     PassResult,
-    TranspilerPass,
 )
+from repro.transpile import TransformationPass as TranspilerPass
+from repro.transpile import TranspilePassManager as PassManager
 
 __all__ = [
     "advise",

@@ -24,13 +24,13 @@ class RunOptions:
     node_type: str = "standard"
     frequency: CpuFrequency = CpuFrequency.MEDIUM
     comm_mode: CommMode = CommMode.BLOCKING
-    #: Transpile with the generic cache-blocking pass before running.
+    #: Transpile with the generic cache-blocking pass before running:
+    #: shorthand for ``transpile="blocked"``.
     cache_block: bool = False
     #: Pass-manager transpilation strategy (``repro.transpile``):
     #: ``"naive"``/``"blocked"``/``"grouped"``.  ``None`` defers to
     #: ``REPRO_TRANSPILE`` (default: no pipeline).  When a strategy is
-    #: selected it supersedes ``cache_block`` (``"blocked"`` reproduces
-    #: it exactly).
+    #: selected it supersedes ``cache_block``.
     transpile: str | None = None
     #: Use the halved-communication distributed SWAP (paper future work).
     halved_swaps: bool = False

@@ -14,7 +14,6 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.options import RunOptions
 from repro.core.report import RunReport
-from repro.core.transpiler import CacheBlockingPass
 from repro.errors import SimulationError
 from repro.machine.allocation import (
     FULL_BUFFER_FACTOR,
@@ -26,6 +25,7 @@ from repro.machine.slurm import SlurmJob
 from repro.perfmodel.predictor import predict
 from repro.perfmodel.trace import RunConfiguration
 from repro.statevector.distributed import DistributedStatevector
+from repro.transpile import resolve_strategy, transpile
 
 __all__ = ["SimulationRunner", "NUMERIC_QUBIT_LIMIT"]
 
@@ -95,37 +95,24 @@ class SimulationRunner:
         )
         return config, job
 
-    def transpile(
-        self, circuit: Circuit, config: RunConfiguration
-    ) -> tuple[Circuit, dict[int, int]]:
-        """Cache-block ``circuit`` for the configuration's partition."""
-        result = CacheBlockingPass(config.partition.local_qubits).run(circuit)
-        return result.circuit, result.output_permutation
-
     @staticmethod
     def _prepare_circuit(
         circuit: Circuit, config: RunConfiguration, options: RunOptions
     ) -> tuple[Circuit, dict[int, int] | None]:
-        """Apply the selected transpilation (pipeline, legacy, or none).
+        """Apply the selected transpile strategy, if any.
 
-        An explicit ``options.transpile`` (or ``REPRO_TRANSPILE``)
-        selects the pass-manager pipeline; otherwise ``cache_block``
-        keeps its original behaviour.
+        ``options.transpile`` (or ``REPRO_TRANSPILE``) selects the
+        strategy; failing that, ``cache_block`` means ``"blocked"``.
+        Either way the circuit goes through one :func:`transpile` call.
         """
-        from repro.transpile import resolve_strategy, transpile
-
-        strategy = resolve_strategy(options.transpile)
-        if strategy is not None:
-            result = transpile(
-                circuit, config.partition, strategy=strategy
-            )
-            return result.circuit, result.output_permutation
-        if options.cache_block:
-            result = CacheBlockingPass(
-                config.partition.local_qubits
-            ).run(circuit)
-            return result.circuit, result.output_permutation
-        return circuit, None
+        strategy = resolve_strategy(
+            options.transpile,
+            default="blocked" if options.cache_block else None,
+        )
+        if strategy is None:
+            return circuit, None
+        result = transpile(circuit, config.partition, strategy=strategy)
+        return result.circuit, result.output_permutation
 
     # -- the main entry point -----------------------------------------------------
 

@@ -1,20 +1,23 @@
-"""Circuit transpilation: cache blocking, diagonal fusion, verification."""
+"""Former home of the transpiler passes; they live in :mod:`repro.transpile`.
 
-from repro.core.transpiler.cache_blocking import CacheBlockingPass
-from repro.core.transpiler.fusion import DiagonalFusionPass
-from repro.core.transpiler.decompose_swaps import DecomposeControlledSwapsPass
-from repro.core.transpiler.peephole import PeepholePass
-from repro.core.transpiler.pass_base import (
-    PassManager,
+Kept as a re-export so existing imports keep working:
+``TranspilerPass`` is :class:`~repro.transpile.TransformationPass` and
+``PassManager`` is :class:`~repro.transpile.TranspilePassManager`.
+"""
+
+from repro.transpile import (
+    CacheBlockingPass,
+    DecomposeControlledSwapsPass,
+    DiagonalFusionPass,
     PassResult,
-    TranspilerPass,
-    identity_permutation,
-)
-from repro.core.transpiler.verify import (
+    PeepholePass,
     assert_equivalent,
     equivalent,
+    identity_permutation,
     permute_statevector,
 )
+from repro.transpile import TransformationPass as TranspilerPass
+from repro.transpile import TranspilePassManager as PassManager
 
 __all__ = [
     "TranspilerPass",

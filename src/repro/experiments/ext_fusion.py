@@ -22,12 +22,12 @@ from repro.circuits import qft_circuit, random_circuit, random_state
 from repro.circuits.qft import builtin_qft_circuit, cache_blocked_qft_circuit
 from repro.core.options import RunOptions
 from repro.core.runner import SimulationRunner
-from repro.core.transpiler import DiagonalFusionPass
 from repro.experiments.reporting import ExperimentResult
 from repro.machine.frequency import CpuFrequency
 from repro.mpi.datatypes import CommMode
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.statevector.apply_plan import compile_plan
+from repro.transpile import DiagonalFusionPass
 from repro.utils.bits import log2_exact
 
 __all__ = ["run"]

@@ -14,8 +14,8 @@ from repro.circuits.analysis import distributed_gate_count
 from repro.circuits.circuit import Circuit
 from repro.circuits.qft import qft_circuit
 from repro.circuits.random_circuits import qpe_circuit, random_circuit
-from repro.core.transpiler import CacheBlockingPass, assert_equivalent
 from repro.experiments.reporting import ExperimentResult
+from repro.transpile import CacheBlockingPass, assert_equivalent
 
 __all__ = ["run"]
 

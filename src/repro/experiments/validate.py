@@ -144,7 +144,7 @@ def _check_pool_equals_serial() -> bool:
 
 
 def _check_generic_transpiler() -> bool:
-    from repro.core.transpiler import CacheBlockingPass, equivalent
+    from repro.transpile import CacheBlockingPass, equivalent
 
     circuit = random_circuit(7, 60, seed=7)
     result = CacheBlockingPass(4).run(circuit)

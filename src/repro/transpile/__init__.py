@@ -20,6 +20,12 @@ Entry point::
     result = transpile(circuit, partition, strategy="grouped")
     # result.circuit, result.output_permutation, result.stats
 
+This is also the library's one pass framework (``basepass``): the
+standalone passes ``PeepholePass``, ``DecomposeControlledSwapsPass``
+and ``DiagonalFusionPass`` run on their own via ``pass_.run(circuit)``
+or chained in a ``TranspilePassManager``, and ``verify`` checks any
+result against the dense reference.
+
 ``REPRO_TRANSPILE=<strategy>`` selects a strategy globally (the runner
 consults it when ``RunOptions.transpile`` is unset); an unknown value
 fails with a one-line :class:`~repro.errors.ValidationError`.
@@ -40,20 +46,31 @@ from repro.transpile.analysis import (
 )
 from repro.transpile.basepass import (
     AnalysisPass,
+    PassResult,
     TransformationPass,
     TranspilePassManager,
+    compose_permutations,
+    identity_permutation,
 )
-from repro.transpile.cache_blocking import CacheBlockingAdapterPass
+from repro.transpile.cache_blocking import CacheBlockingPass
+from repro.transpile.decompose_swaps import DecomposeControlledSwapsPass
+from repro.transpile.fusion import DiagonalFusionPass
 from repro.transpile.grouping import GateGroupFormationPass
 from repro.transpile.metrics import (
     ScheduleMetrics,
     compare_metrics,
     schedule_metrics,
 )
+from repro.transpile.peephole import PeepholePass
 from repro.transpile.property_set import PropertySet
 from repro.transpile.reorder import CommutationReorderPass
 from repro.transpile.result import TranspileResult
 from repro.transpile.selection import GlobalQubitSelectionPass
+from repro.transpile.verify import (
+    assert_equivalent,
+    equivalent,
+    permute_statevector,
+)
 
 __all__ = [
     "STRATEGIES",
@@ -62,20 +79,29 @@ __all__ = [
     "build_pipeline",
     "transpile",
     "TranspileResult",
+    "PassResult",
     "TranspilePassManager",
     "AnalysisPass",
     "TransformationPass",
     "PropertySet",
+    "identity_permutation",
+    "compose_permutations",
     "QubitInteractionAnalysis",
     "CommutationAnalysis",
     "CommutationReorderPass",
     "GlobalQubitSelectionPass",
     "GateGroupFormationPass",
-    "CacheBlockingAdapterPass",
+    "CacheBlockingPass",
+    "PeepholePass",
+    "DecomposeControlledSwapsPass",
+    "DiagonalFusionPass",
     "ScheduleMetrics",
     "schedule_metrics",
     "compare_metrics",
     "gates_commute",
+    "permute_statevector",
+    "equivalent",
+    "assert_equivalent",
 ]
 
 #: Recognised strategies, in increasing communication savings.
@@ -114,14 +140,13 @@ def build_pipeline(
     *,
     max_remap_pairs: int = 1,
     lookahead: int = 64,
-    restore_layout: bool = False,
 ) -> list[AnalysisPass | TransformationPass]:
     """The pass list of one strategy (empty for ``naive``)."""
     name = resolve_strategy(strategy)
     if name == "naive":
         return []
     if name == "blocked":
-        return [CacheBlockingAdapterPass(restore_layout=restore_layout)]
+        return [CacheBlockingPass()]
     return [
         QubitInteractionAnalysis(),
         CommutationAnalysis(),
@@ -140,7 +165,6 @@ def transpile(
     strategy: str | None = None,
     max_remap_pairs: int = 1,
     lookahead: int = 64,
-    restore_layout: bool = False,
 ) -> TranspileResult:
     """Transpile ``circuit`` for ``partition`` under one strategy.
 
@@ -161,10 +185,7 @@ def transpile(
         )
     before = schedule_metrics(circuit, partition)
     passes = build_pipeline(
-        name,
-        max_remap_pairs=max_remap_pairs,
-        lookahead=lookahead,
-        restore_layout=restore_layout,
+        name, max_remap_pairs=max_remap_pairs, lookahead=lookahead
     )
     with obs.span(
         "transpile",
@@ -173,22 +194,15 @@ def transpile(
         qubits=circuit.num_qubits,
         ranks=partition.num_ranks,
     ):
-        if not passes:
-            from repro.core.transpiler.pass_base import (
-                PassResult,
-                identity_permutation,
-            )
-
+        if passes:
+            result = TranspilePassManager(passes).run(circuit, partition)
+        else:
             result = PassResult(
                 circuit=Circuit(
                     circuit.num_qubits, circuit.gates, name=circuit.name
                 ),
                 output_permutation=identity_permutation(circuit.num_qubits),
             )
-            properties = PropertySet()
-        else:
-            manager = TranspilePassManager(passes)
-            result, properties = manager.run(circuit, partition)
     after = schedule_metrics(result.circuit, partition)
     eliminated = max(0, before.exchange_rounds - after.exchange_rounds)
     stats = dict(result.stats)
@@ -210,7 +224,7 @@ def transpile(
     return TranspileResult(
         circuit=result.circuit,
         output_permutation=result.output_permutation,
-        strategy=name,
         stats=stats,
-        properties=properties,
+        properties=result.properties,
+        strategy=name,
     )

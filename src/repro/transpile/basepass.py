@@ -1,43 +1,74 @@
 """Pass framework: analysis vs transformation passes and their manager.
 
-This is the communication-minimizing pipeline's skeleton (the style of
-Qiskit's pass manager, specialised for distributed statevector
-simulation): passes run in order against a fixed
+This is the transpiler's one skeleton (the style of Qiskit's pass
+manager, specialised for distributed statevector simulation): passes run
+in order against an optional
 :class:`~repro.statevector.partition.Partition`, reading and writing a
 shared :class:`~repro.transpile.property_set.PropertySet`.
 
 * An :class:`AnalysisPass` inspects the circuit and records results in
   the property set; the circuit flows through unchanged.
-* A :class:`TransformationPass` returns a
-  :class:`~repro.core.transpiler.pass_base.PassResult` -- a rewritten
-  circuit plus the qubit relabelling it left behind; the manager
-  composes relabellings across passes.
+* A :class:`TransformationPass` returns a :class:`PassResult` -- a
+  rewritten circuit plus the qubit relabelling it left behind; the
+  manager composes relabellings across passes.  Its :meth:`run
+  <TransformationPass.run>` applies one pass on its own.
 
-Every pass runs inside a ``transpile.pass`` observability span, so a
-trace of a transpilation shows exactly where the time (and the gate
-count) went.
+Every pass the manager runs sits inside a ``transpile.pass``
+observability span, so a trace of a transpilation shows exactly where
+the time (and the gate count) went.
 """
 
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.circuits.circuit import Circuit
-from repro.core.transpiler.pass_base import (
-    PassResult,
-    compose_permutations,
-    identity_permutation,
-)
 from repro.errors import TranspilerError
 from repro.statevector.partition import Partition
 from repro.transpile.property_set import PropertySet
 
 __all__ = [
+    "PassResult",
+    "identity_permutation",
+    "compose_permutations",
     "AnalysisPass",
     "TransformationPass",
     "TranspilePassManager",
 ]
+
+
+def identity_permutation(n: int) -> dict[int, int]:
+    """The do-nothing logical-to-physical map."""
+    return {q: q for q in range(n)}
+
+
+def compose_permutations(
+    first: dict[int, int], second: dict[int, int]
+) -> dict[int, int]:
+    """Apply ``first`` then ``second``: result[q] = second[first[q]]."""
+    return {q: second[p] for q, p in first.items()}
+
+
+@dataclass
+class PassResult:
+    """Output of one pass (or a chain)."""
+
+    circuit: Circuit
+    #: Logical qubit -> physical wire at the *end* of the circuit.  The
+    #: executed state equals the untranspiled state with its index bits
+    #: relabelled by this map (``permute_statevector`` applies it).
+    output_permutation: dict[int, int]
+    #: Counters ("swaps_inserted", "gates_fused", ...); a manager run
+    #: namespaces them ``<pass>.<stat>``.
+    stats: dict[str, int] = field(default_factory=dict)
+    #: Analysis results the passes shared.
+    properties: PropertySet = field(default_factory=PropertySet)
+
+    def is_identity_layout(self) -> bool:
+        """True when the output layout matches the input layout."""
+        return all(q == p for q, p in self.output_permutation.items())
 
 
 class _BasePass(abc.ABC):
@@ -50,7 +81,7 @@ class _BasePass(abc.ABC):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if not cls.name:
+        if "name" not in cls.__dict__:
             cls.name = cls.__name__
 
 
@@ -59,7 +90,10 @@ class AnalysisPass(_BasePass):
 
     @abc.abstractmethod
     def analyse(
-        self, circuit: Circuit, partition: Partition, properties: PropertySet
+        self,
+        circuit: Circuit,
+        partition: Partition | None,
+        properties: PropertySet,
     ) -> None:
         """Record analysis results into ``properties``."""
 
@@ -69,9 +103,22 @@ class TransformationPass(_BasePass):
 
     @abc.abstractmethod
     def transform(
-        self, circuit: Circuit, partition: Partition, properties: PropertySet
+        self,
+        circuit: Circuit,
+        partition: Partition | None,
+        properties: PropertySet,
     ) -> PassResult:
         """Return the rewritten circuit and its output permutation."""
+
+    def run(
+        self, circuit: Circuit, partition: Partition | None = None
+    ) -> PassResult:
+        """Apply this pass alone, with a fresh property set.
+
+        Stats come back un-namespaced (``swaps_inserted``, not
+        ``cache_blocking.swaps_inserted``).
+        """
+        return self.transform(circuit, partition, PropertySet())
 
 
 class TranspilePassManager:
@@ -90,10 +137,10 @@ class TranspilePassManager:
     def run(
         self,
         circuit: Circuit,
-        partition: Partition,
+        partition: Partition | None = None,
         properties: PropertySet | None = None,
-    ) -> tuple[PassResult, PropertySet]:
-        """Apply every pass in order; returns (result, property set)."""
+    ) -> PassResult:
+        """Apply every pass in order; the result carries the property set."""
         props = properties if properties is not None else PropertySet()
         permutation = identity_permutation(circuit.num_qubits)
         stats: dict[str, int] = {}
@@ -114,9 +161,9 @@ class TranspilePassManager:
                 )
                 for key, value in result.stats.items():
                     stats[f"{p.name}.{key}"] = value
-        return (
-            PassResult(
-                circuit=current, output_permutation=permutation, stats=stats
-            ),
-            props,
+        return PassResult(
+            circuit=current,
+            output_permutation=permutation,
+            stats=stats,
+            properties=props,
         )

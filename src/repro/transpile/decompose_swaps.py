@@ -11,13 +11,15 @@ every gate is executor-supported on any partition.
 from __future__ import annotations
 
 from repro.circuits.circuit import Circuit
-from repro.core.transpiler.pass_base import PassResult, TranspilerPass
 from repro.gates import Gate
+from repro.statevector.partition import Partition
+from repro.transpile.basepass import PassResult, TransformationPass
+from repro.transpile.property_set import PropertySet
 
 __all__ = ["DecomposeControlledSwapsPass"]
 
 
-class DecomposeControlledSwapsPass(TranspilerPass):
+class DecomposeControlledSwapsPass(TransformationPass):
     """Rewrite controlled SWAPs as controlled-CNOT triples."""
 
     name = "decompose_controlled_swaps"
@@ -27,7 +29,12 @@ class DecomposeControlledSwapsPass(TranspilerPass):
         #: study what QuEST without a native SWAP would pay).
         self.all_swaps = all_swaps
 
-    def run(self, circuit: Circuit) -> PassResult:
+    def transform(
+        self,
+        circuit: Circuit,
+        partition: Partition | None,
+        properties: PropertySet,
+    ) -> PassResult:
         out = Circuit(
             circuit.num_qubits,
             name=(circuit.name + "_noswap") if circuit.name else "",

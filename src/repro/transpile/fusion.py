@@ -5,19 +5,26 @@ amplitudes; fusing a run of ``k`` diagonal gates replaces ``k`` sweeps
 with one.  The paper's built-in QFT does *not* fuse (its measured local
 time matches per-gate sweeps), which makes this pass the natural
 "what if it did?" ablation (``bench_ext_fusion``).
+
+The runs come from the diagonal stage of the executors' own fusion
+(:func:`repro.statevector.apply_plan.compile_plan`), so the pass and the
+``diag`` fusion mode group diagonal runs by one rule; the pass only adds
+the ``min_run`` threshold.
 """
 
 from __future__ import annotations
 
 from repro.circuits.circuit import Circuit
-from repro.core.transpiler.pass_base import PassResult, TranspilerPass
 from repro.errors import TranspilerError
-from repro.gates import Gate
+from repro.statevector.apply_plan import _diag_fusion_units
+from repro.statevector.partition import Partition
+from repro.transpile.basepass import PassResult, TransformationPass
+from repro.transpile.property_set import PropertySet
 
 __all__ = ["DiagonalFusionPass"]
 
 
-class DiagonalFusionPass(TranspilerPass):
+class DiagonalFusionPass(TransformationPass):
     """Fuse maximal runs of consecutive diagonal gates."""
 
     name = "diagonal_fusion"
@@ -28,38 +35,27 @@ class DiagonalFusionPass(TranspilerPass):
         self.min_run = min_run
         self.max_fused_qubits = max_fused_qubits
 
-    def run(self, circuit: Circuit) -> PassResult:
+    def transform(
+        self,
+        circuit: Circuit,
+        partition: Partition | None,
+        properties: PropertySet,
+    ) -> PassResult:
         out = Circuit(
             circuit.num_qubits,
             name=(circuit.name + "_fused") if circuit.name else "fused",
         )
-        pending: list[Gate] = []
         fused_count = 0
         gates_fused = 0
-
-        def flush() -> None:
-            nonlocal fused_count, gates_fused
-            if len(pending) >= self.min_run:
-                out.append(Gate.fused(tuple(pending)))
-                fused_count += 1
-                gates_fused += len(pending)
-            else:
-                out.extend(pending)
-            pending.clear()
-
-        for gate in circuit:
-            qubits_if_added = {
-                q for g in pending for q in g.targets + g.controls
-            } | set(gate.targets + gate.controls)
-            if gate.is_diagonal() and gate.name != "fused_diag":
-                if len(qubits_if_added) > self.max_fused_qubits:
-                    flush()
-                pending.append(gate)
-            else:
-                flush()
+        for gate, run in _diag_fusion_units(
+            circuit, True, self.max_fused_qubits
+        ):
+            if len(run) >= self.min_run:
                 out.append(gate)
-        flush()
-
+                fused_count += 1
+                gates_fused += len(run)
+            else:
+                out.extend(run)
         return PassResult(
             circuit=out,
             output_permutation={q: q for q in range(circuit.num_qubits)},

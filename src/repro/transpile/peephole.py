@@ -21,8 +21,10 @@ import math
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.core.transpiler.pass_base import PassResult, TranspilerPass
 from repro.gates import Gate
+from repro.statevector.partition import Partition
+from repro.transpile.basepass import PassResult, TransformationPass
+from repro.transpile.property_set import PropertySet
 
 __all__ = ["PeepholePass"]
 
@@ -63,7 +65,7 @@ def _merge_phases(a: Gate, b: Gate) -> Gate:
     return Gate.named(a.name, a.targets, controls=a.controls, params=(angle,))
 
 
-class PeepholePass(TranspilerPass):
+class PeepholePass(TransformationPass):
     """Cancel, merge and drop gates until nothing changes."""
 
     name = "peephole"
@@ -71,7 +73,12 @@ class PeepholePass(TranspilerPass):
     def __init__(self, *, max_rounds: int = 32):
         self.max_rounds = max_rounds
 
-    def run(self, circuit: Circuit) -> PassResult:
+    def transform(
+        self,
+        circuit: Circuit,
+        partition: Partition | None,
+        properties: PropertySet,
+    ) -> PassResult:
         gates = list(circuit.gates)
         removed = 0
         merged = 0

@@ -2,32 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.circuits.circuit import Circuit
-from repro.transpile.property_set import PropertySet
+from repro.transpile.basepass import PassResult
 
 __all__ = ["TranspileResult"]
 
 
-@dataclass
-class TranspileResult:
-    """What one :func:`repro.transpile.transpile` call produced."""
+@dataclass(kw_only=True)
+class TranspileResult(PassResult):
+    """What one :func:`repro.transpile.transpile` call produced.
 
-    #: The rewritten circuit (physical wires).
-    circuit: Circuit
-    #: Logical qubit -> physical wire at the end of the circuit.  The
-    #: executed state equals the untranspiled state with its index bits
-    #: relabelled by this map (``verify.permute_statevector`` applies it).
-    output_permutation: dict[int, int]
+    ``stats`` holds the per-pass counters, namespaced ``<pass>.<stat>``,
+    plus the pipeline-level ``exchange_rounds_before/after`` accounting.
+    """
+
     #: The strategy that ran (``naive``/``blocked``/``grouped``).
     strategy: str
-    #: Per-pass counters, namespaced ``<pass>.<stat>``, plus the
-    #: pipeline-level ``exchange_rounds_before/after`` accounting.
-    stats: dict[str, int] = field(default_factory=dict)
-    #: Analysis results the passes shared.
-    properties: PropertySet = field(default_factory=PropertySet)
-
-    def is_identity_layout(self) -> bool:
-        """True when no qubit ended up relocated."""
-        return all(q == p for q, p in self.output_permutation.items())

@@ -96,6 +96,19 @@ class TestOptions:
         with pytest.raises(TranspilerError):
             CacheBlockingPass(0)
 
+    def test_window_from_partition(self):
+        from repro.statevector import Partition
+
+        c = random_circuit(7, 60, seed=5)
+        explicit = CacheBlockingPass(4).run(c)
+        derived = CacheBlockingPass().run(c, Partition(7, 8))
+        assert derived.circuit.gates == explicit.circuit.gates
+        assert derived.output_permutation == explicit.output_permutation
+
+    def test_no_window_is_a_one_line_error(self):
+        with pytest.raises(TranspilerError, match="local_qubits or a partition"):
+            CacheBlockingPass().run(qft_circuit(4))
+
     def test_gate_wider_than_window(self):
         # A SWAP needs both pairing targets in the local window; with a
         # 1-slot window there is no victim slot left to evict.

@@ -4,14 +4,14 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.core.transpiler import PassManager, PassResult, TranspilerPass
-from repro.core.transpiler.pass_base import compose_permutations, identity_permutation
 from repro.errors import TranspilerError
+from repro.transpile import compose_permutations, identity_permutation
 
 
 class AddHadamard(TranspilerPass):
     """Toy pass: append H(0) and count."""
 
-    def run(self, circuit):
+    def transform(self, circuit, partition, properties):
         out = Circuit(circuit.num_qubits, circuit.gates)
         out.h(0)
         return PassResult(
@@ -24,7 +24,7 @@ class AddHadamard(TranspilerPass):
 class SwapZeroOne(TranspilerPass):
     """Toy pass: virtually swap wires 0 and 1."""
 
-    def run(self, circuit):
+    def transform(self, circuit, partition, properties):
         mapping = {0: 1, 1: 0}
         perm = identity_permutation(circuit.num_qubits)
         perm.update(mapping)

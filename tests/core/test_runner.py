@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.circuits import builtin_qft_circuit, qft_circuit, random_state
+from repro.circuits import (
+    Circuit,
+    builtin_qft_circuit,
+    qft_circuit,
+    random_circuit,
+    random_state,
+)
 from repro.core import RunOptions, SimulationRunner
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.machine import CpuFrequency
 from repro.mpi import CommMode
 from repro.statevector import DenseStatevector
@@ -95,6 +101,43 @@ class TestRun:
         assert report.num_nodes == 32
 
 
+class TestCacheBlockIsBlockedStrategy:
+    """``cache_block=True`` and ``transpile="blocked"`` are one path."""
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            RunOptions(num_nodes=4, cache_block=True),
+            RunOptions(num_nodes=4, transpile="blocked"),
+        ],
+        ids=["cache_block", "transpile_blocked"],
+    )
+    def test_mid_circuit_measurement_rejected(self, opts):
+        # Regression: cache_block once moved the measured qubit to
+        # another wire silently instead of refusing the circuit.
+        circuit = Circuit(8)
+        for q in range(8):
+            circuit.h(q)
+        circuit.measure(7)
+        with pytest.raises(ValidationError, match="mid-circuit"):
+            RUNNER.run(circuit, opts)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_circuit_and_permutation(self, seed):
+        circuit = random_circuit(8, 40, seed=seed)
+        results = []
+        for opts in (
+            RunOptions(num_nodes=4, cache_block=True),
+            RunOptions(num_nodes=4, transpile="blocked"),
+        ):
+            config, _ = RUNNER.configure(circuit, opts)
+            results.append(RUNNER._prepare_circuit(circuit, config, opts))
+        (cb_circuit, cb_perm), (bl_circuit, bl_perm) = results
+        assert cb_circuit.gates == bl_circuit.gates
+        assert cb_perm == bl_perm
+        assert cb_perm != {q: q for q in range(8)}
+
+
 class TestExecuteNumeric:
     def test_matches_dense(self):
         psi = random_state(8, seed=1)
@@ -111,7 +154,7 @@ class TestExecuteNumeric:
         assert report.runtime_s > 0
 
     def test_cache_blocked_numeric_respects_permutation(self):
-        from repro.core.transpiler.verify import permute_statevector
+        from repro.transpile import permute_statevector
 
         psi = random_state(8, seed=2)
         circuit = qft_circuit(8)

@@ -139,7 +139,7 @@ class TestRunnerPipeline:
             qft_circuit(8), opts, initial_state=psi, num_ranks=4
         )
         # Un-permute and compare against the plain QFT.
-        from repro.core.transpiler.verify import permute_statevector
+        from repro.transpile import permute_statevector
 
         expected = (
             DenseStatevector.from_amplitudes(psi)

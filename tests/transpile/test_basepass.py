@@ -3,15 +3,16 @@
 import pytest
 
 from repro.circuits import Circuit
-from repro.core.transpiler.pass_base import PassResult, identity_permutation
 from repro.errors import TranspilerError
 from repro.gates import Gate
 from repro.statevector.partition import Partition
 from repro.transpile import (
     AnalysisPass,
+    PassResult,
     PropertySet,
     TransformationPass,
     TranspilePassManager,
+    identity_permutation,
 )
 
 
@@ -63,8 +64,8 @@ def test_empty_pipeline_rejected():
 
 def test_analysis_results_flow_to_later_passes():
     manager = TranspilePassManager([_CountingAnalysis(), _NeedsCount()])
-    result, props = manager.run(_circuit(), Partition(3, 2))
-    assert props["gate_count"] == 2
+    result = manager.run(_circuit(), Partition(3, 2))
+    assert result.properties["gate_count"] == 2
     assert result.stats == {"needs_count.seen": 2}
 
 
@@ -81,10 +82,10 @@ def test_property_set_require_names_known_producer():
 
 def test_permutations_compose_across_passes():
     manager = TranspilePassManager([_RelabelPass(), _RelabelPass()])
-    result, _ = manager.run(_circuit(), Partition(3, 2))
+    result = manager.run(_circuit(), Partition(3, 2))
     # Two swaps of the same wires cancel.
     assert result.output_permutation == identity_permutation(3)
-    single, _ = TranspilePassManager([_RelabelPass()]).run(
+    single = TranspilePassManager([_RelabelPass()]).run(
         _circuit(), Partition(3, 2)
     )
     assert single.output_permutation == {0: 1, 1: 0, 2: 2}
@@ -92,7 +93,7 @@ def test_permutations_compose_across_passes():
 
 def test_analysis_pass_leaves_circuit_object_untouched():
     circuit = _circuit()
-    result, _ = TranspilePassManager([_CountingAnalysis()]).run(
+    result = TranspilePassManager([_CountingAnalysis()]).run(
         circuit, Partition(3, 2)
     )
     assert result.circuit is circuit

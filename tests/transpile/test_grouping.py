@@ -16,6 +16,11 @@ def test_knob_validation():
         GateGroupFormationPass(lookahead=-1)
 
 
+def test_missing_partition_is_a_one_line_error():
+    with pytest.raises(TranspilerError, match="needs a partition"):
+        GateGroupFormationPass().run(builtin_qft_circuit(6))
+
+
 def test_single_rank_inserts_no_remaps():
     circuit = builtin_qft_circuit(6)
     result = transpile(circuit, Partition(6, 1), strategy="grouped")

@@ -1,8 +1,6 @@
 """Commutation-aware reordering: semantics, clustering, stability."""
 
 from repro.circuits import Circuit, random_circuit
-from repro.core.transpiler import equivalent
-from repro.core.transpiler.pass_base import identity_permutation
 from repro.gates import Gate
 from repro.statevector.partition import Partition
 from repro.transpile import (
@@ -10,6 +8,8 @@ from repro.transpile import (
     CommutationReorderPass,
     PropertySet,
     TranspilePassManager,
+    equivalent,
+    identity_permutation,
 )
 
 
@@ -17,8 +17,7 @@ def _reorder(circuit):
     manager = TranspilePassManager(
         [CommutationAnalysis(), CommutationReorderPass()]
     )
-    result, _ = manager.run(circuit, Partition(circuit.num_qubits, 2))
-    return result
+    return manager.run(circuit, Partition(circuit.num_qubits, 2))
 
 
 def test_reorder_preserves_action_on_random_circuits():
